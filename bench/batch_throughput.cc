@@ -159,7 +159,8 @@ main(int argc, char **argv)
             cfg.workers = workers;
             cfg.shards = engine.config().streams;
             BatchSigner signer(p, kp.sk, cfg);
-            auto futures = signer.submitMany(msgs);
+            auto reqs = signRequests(msgs);
+            auto futures = signer.submitMany(reqs);
             for (auto &f : futures)
                 f.get();
             auto st = signer.drain();
@@ -224,7 +225,8 @@ main(int argc, char **argv)
                     cfg.laneGroup =
                         cross ? batch::LaneScheduler::maxGroup : 1;
                     BatchSigner signer(p, kp.sk, cfg);
-                    auto futures = signer.submitMany(msgs);
+                    auto reqs = signRequests(msgs);
+                    auto futures = signer.submitMany(reqs);
                     for (auto &f : futures)
                         f.get();
                     auto st = signer.drain();

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "batch/sign_request.hh"
+#include "common/json.hh"
 #include "common/table.hh"
 #include "core/engine.hh"
 #include "telemetry/histogram.hh"
@@ -27,6 +29,16 @@
 
 namespace herosign::bench
 {
+
+/** One deterministic signing request per message, for submitMany(). */
+inline std::vector<batch::SignRequest>
+signRequests(const std::vector<ByteVec> &msgs)
+{
+    std::vector<batch::SignRequest> reqs(msgs.size());
+    for (size_t i = 0; i < msgs.size(); ++i)
+        reqs[i].message = msgs[i];
+    return reqs;
+}
 
 /**
  * The shared duration-bounded measurement loop: run @p fn repeatedly
@@ -106,31 +118,6 @@ struct Options
         return o;
     }
 };
-
-/** Escape a string for embedding in a JSON document. */
-inline std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /**
  * Accumulates every table a bench emits and rewrites the --json file

@@ -60,11 +60,12 @@ measureThreadedKops(const Params &p, bool force_scalar, bool no_avx512,
     cfg.shards = 4;
     BatchSigner signer(p, kp.sk, cfg);
     {
-        auto warm = signer.submit(rng.bytes(64));
+        auto warm = signer.submit({rng.bytes(64), {}, {}, {}});
         warm.get();
         signer.drain();
     }
-    auto futures = signer.submitMany(batch);
+    auto reqs = signRequests(batch);
+    auto futures = signer.submitMany(reqs);
     for (auto &f : futures)
         f.get();
     auto st = signer.drain();

@@ -106,11 +106,12 @@ main(int argc, char **argv)
                     std::string("tenant-").append(
                         std::to_string(tenant));
                 if (i++ % 2 == 0)
-                    sign_svc.submitSign(id, prng.bytes(32)).get();
+                    sign_svc.submit(id, {prng.bytes(32), {}, {}, {}})
+                        .get();
                 else
                     verify_svc
-                        .submitVerify(id, vpool[tenant].first,
-                                      vpool[tenant].second)
+                        .submit(id, {vpool[tenant].first,
+                                     vpool[tenant].second, {}})
                         .get();
             }
         });

@@ -3,40 +3,37 @@
  * BatchSigner: a real multi-threaded SPHINCS+ batch signing service.
  *
  * Where SignEngine::signBatchTiming simulates a GPU batch timeline,
- * BatchSigner executes one: N worker threads (modeling per-stream
- * workers) pull jobs from a sharded MPMC queue (one shard per engine
- * stream) and sign against shared *immutable* key state — one
- * SecretKey (held via shared_ptr, zeroized on teardown when owned
+ * BatchSigner executes one. It is the single-key user of the shared
+ * worker plane (batch::WorkerPlane): N worker threads (modeling
+ * per-stream workers) pull jobs from a sharded MPMC queue (one shard
+ * per engine stream) and sign against shared *immutable* key state —
+ * one SecretKey (held via shared_ptr, zeroized on teardown when owned
  * here) and one warm hashing Context built once at construction, so
  * the hot path performs no per-sign Context construction and no
  * worker ever holds a private copy of secret material.
  *
- * Workers coalesce queued jobs into cross-signature lane groups: one
- * blocking pop plus non-blocking pops up to the configured laneGroup,
- * signed in lockstep by the batch::LaneScheduler so SIMD hash lanes
- * fill across signatures even on parameter shapes whose per-signature
- * trees are narrower than the lane width. A group of one falls back
- * to the within-signature path. Signatures are byte-identical to the
- * scalar sphincs::SphincsPlus path regardless of worker count, group
- * size or scheduling order.
+ * Each pass coalesces queued jobs up to the configured laneGroup and
+ * hands them to the shared sign group step (batch::SignStep): signed
+ * in lockstep by the LaneScheduler so SIMD hash lanes fill across
+ * signatures, or — for a group of one — on the within-signature
+ * path. Signatures are byte-identical to the scalar
+ * sphincs::SphincsPlus path regardless of worker count, group size or
+ * scheduling order. What stays here is the signer's own Telemetry and
+ * its per-epoch BatchStats.
  */
 
 #ifndef HEROSIGN_BATCH_BATCH_SIGNER_HH
 #define HEROSIGN_BATCH_BATCH_SIGNER_HH
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "batch/batch_stats.hh"
-#include "batch/mpmc_queue.hh"
 #include "batch/sign_request.hh"
+#include "batch/sign_step.hh"
+#include "batch/worker_plane.hh"
 #include "hash/sha256.hh"
 #include "sphincs/sphincs.hh"
 #include "telemetry/telemetry.hh"
@@ -115,7 +112,6 @@ class BatchSigner
     BatchSigner(const sphincs::Params &params,
                 std::shared_ptr<const sphincs::SecretKey> sk,
                 const BatchSignerConfig &config = {});
-    ~BatchSigner();
 
     BatchSigner(const BatchSigner &) = delete;
     BatchSigner &operator=(const BatchSigner &) = delete;
@@ -140,21 +136,6 @@ class BatchSigner
     submitMany(std::span<SignRequest> reqs);
 
     /**
-     * Legacy positional shim for submit(SignRequest).
-     * @param opt_rand n bytes of signing randomness; empty selects
-     *        the deterministic variant
-     */
-    std::future<ByteVec> submit(ByteVec msg, ByteVec opt_rand = {});
-
-    /** Legacy callback shim for submit(SignRequest). */
-    std::future<ByteVec> submit(ByteVec msg, SignCallback cb,
-                                ByteVec opt_rand = {});
-
-    /** Legacy message-only shim for submitMany(span<SignRequest>). */
-    std::vector<std::future<ByteVec>>
-    submitMany(const std::vector<ByteVec> &msgs);
-
-    /**
      * Block until everything submitted so far has completed, then
      * return the statistics for the batch (all jobs since the last
      * drain) and start a new batch epoch.
@@ -170,17 +151,14 @@ class BatchSigner
      * no-op join. Contrast with plain destruction, which drains
      * gracefully by signing everything queued.
      */
-    void close();
+    void close() { plane_.close(); }
 
-    unsigned workers() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
+    unsigned workers() const { return plane_.workers(); }
 
-    unsigned shards() const { return queue_.shards(); }
+    unsigned shards() const { return plane_.shards(); }
 
     /** Effective cross-signature coalescing group (1 = disabled). */
-    unsigned laneGroup() const { return laneGroup_; }
+    unsigned laneGroup() const { return plane_.window(); }
 
     /** This signer's telemetry plane (stage/group histograms, trace
      * ring). */
@@ -190,32 +168,9 @@ class BatchSigner
     const sphincs::Params &params() const { return params_; }
 
     /** Jobs submitted and not yet completed (approximate). */
-    uint64_t pending() const
-    {
-        // Load completed first: a job can complete between the two
-        // loads, but none can complete before being submitted, so
-        // this order cannot underflow.
-        const uint64_t done = completed_.load();
-        const uint64_t sub = submitted_.load();
-        return sub - done;
-    }
+    uint64_t pending() const { return plane_.pending(); }
 
   private:
-    struct Worker
-    {
-        std::thread thread;
-        std::atomic<uint64_t> signedCount{0};
-    };
-
-    void workerLoop(unsigned id);
-    void processPass(Worker &w, SignJob jobs[], unsigned count);
-    void signGroup(Worker &w, SignJob *const jobs[], unsigned count);
-    ByteVec guardSignature(ByteVec sig, SignJob &job);
-    void finishJob(Worker &w, SignJob &job, ByteVec sig);
-    void failJob(SignJob &job, std::exception_ptr err);
-    void completeTrace(SignJob &job, bool ok);
-    void completeOne();
-
     sphincs::Params params_;
     // Shared immutable signing state: one key reference (no per-worker
     // copies), one scheme, one warm context reused by every sign call.
@@ -223,41 +178,13 @@ class BatchSigner
     sphincs::SphincsPlus scheme_;
     sphincs::Context ctx_;
     sphincs::PublicKey pk_; ///< for the verify-after-sign guard
-    ShardedMpmcQueue<SignJob> queue_;
-    unsigned laneGroup_;
-    bool verifyAfterSign_;
     telemetry::Telemetry tel_;
-    std::vector<std::unique_ptr<Worker>> workers_;
-
-    std::atomic<bool> closing_{false};
-    std::atomic<uint64_t> submitted_{0};
-    std::atomic<uint64_t> completed_{0};
-    std::atomic<uint64_t> failures_{0};
-    std::atomic<uint64_t> laneGroups_{0};
-    std::atomic<uint64_t> crossSignJobs_{0};
-    std::atomic<uint64_t> expired_{0};
-    std::atomic<uint64_t> callbackErrors_{0};
-    std::atomic<uint64_t> workerRestarts_{0};
-    std::atomic<uint64_t> guardMismatches_{0};
-    std::atomic<uint64_t> laneQuarantines_{0};
-
-    // Batch-epoch bookkeeping, guarded by drainM_.
-    std::mutex drainM_;
-    std::condition_variable drainCv_;
-    std::chrono::steady_clock::time_point epochStart_;
-    std::chrono::steady_clock::time_point lastCompletion_;
-    bool epochOpen_ = false;
-    uint64_t epochJobsBase_ = 0;
-    uint64_t epochStealsBase_ = 0;
-    uint64_t epochFailuresBase_ = 0;
-    uint64_t epochLaneGroupsBase_ = 0;
-    uint64_t epochCrossSignBase_ = 0;
-    uint64_t epochExpiredBase_ = 0;
-    uint64_t epochCallbackErrBase_ = 0;
-    uint64_t epochRestartsBase_ = 0;
-    uint64_t epochGuardBase_ = 0;
-    uint64_t epochQuarantineBase_ = 0;
-    std::vector<uint64_t> epochWorkerBase_;
+    SignStep step_;
+    /// Cumulative totals at the last drain(); BatchStats are deltas.
+    BatchStats epochBase_;
+    // Last member: its workers use everything above, and its
+    // destructor joins them first.
+    WorkerPlane<SignJob> plane_;
 };
 
 } // namespace herosign::batch

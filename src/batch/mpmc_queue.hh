@@ -190,17 +190,11 @@ class ShardedMpmcQueue
     void
     close()
     {
-        closed_.store(true, std::memory_order_release);
         for (auto &s : shards_) {
             std::lock_guard<std::mutex> lk(s->m);
             s->closed = true;
             s->cv.notify_all();
         }
-    }
-
-    bool closed() const
-    {
-        return closed_.load(std::memory_order_acquire);
     }
 
     /** Approximate number of queued items. */
@@ -239,7 +233,6 @@ class ShardedMpmcQueue
     std::atomic<uint64_t> pushSeq_{0};
     std::atomic<size_t> size_{0};
     std::atomic<uint64_t> steals_{0};
-    std::atomic<bool> closed_{false};
 };
 
 } // namespace herosign::batch

@@ -1,0 +1,189 @@
+/**
+ * @file
+ * SignStep: the one sign group step behind BatchSigner and
+ * SignService. A worker plane hands it a group of jobs that share one
+ * warm key state; it signs them and settles each job through the
+ * plane:
+ *
+ *  - a group of one takes the within-signature SphincsPlus::sign
+ *    path (lanes fill only inside that signature's trees);
+ *  - a larger group runs in lockstep through SignTask and
+ *    LaneScheduler::run, hash lanes filled across signatures. A
+ *    member whose SignTask construction throws fails alone and the
+ *    survivors still sign together; a group-wide throw fails every
+ *    member;
+ *  - with verify-after-sign on, every signature is checked before
+ *    release (guard()); the completion callback runs last, isolated
+ *    from the signature it is handed.
+ */
+
+#ifndef HEROSIGN_BATCH_SIGN_STEP_HH
+#define HEROSIGN_BATCH_SIGN_STEP_HH
+
+#include <atomic>
+#include <memory>
+#include <span>
+#include <string>
+
+#include "batch/lane_scheduler.hh"
+#include "batch/sign_request.hh"
+#include "batch/worker_plane.hh"
+#include "sphincs/sign_task.hh"
+#include "sphincs/sphincs.hh"
+
+namespace herosign::batch
+{
+
+/** One queued signing job. */
+using SignJob = PlaneTask<SignRequest, ByteVec>;
+
+/** The shared immutable key state one sign group signs under. */
+struct SigningKey
+{
+    const sphincs::SphincsPlus &scheme;
+    const sphincs::Context &ctx;
+    const sphincs::SecretKey &sk;
+    const sphincs::PublicKey &pk;
+};
+
+/** Cumulative counters of one SignStep. */
+struct SignCounts
+{
+    /// Cross-signature lane groups run (>= 2 jobs in lockstep).
+    uint64_t laneGroups = 0;
+    /// Jobs signed inside such a group.
+    uint64_t crossSignJobs = 0;
+    /// Completion callbacks that threw.
+    uint64_t callbackErrors = 0;
+    /// Verify-after-sign mismatches (re-signed on the scalar path).
+    uint64_t guardMismatches = 0;
+    /// SIMD tiers quarantined by the guard.
+    uint64_t laneQuarantines = 0;
+};
+
+class SignStep
+{
+  public:
+    /**
+     * @param owner           front-end name, prefixes SigningFault
+     * @param tel             telemetry plane for stamps and groups
+     * @param verifyAfterSign arm the guard
+     * @param groupHint       group size the lane-fill ratio is
+     *                        measured against
+     */
+    SignStep(const char *owner, telemetry::Telemetry &tel,
+             bool verifyAfterSign, unsigned groupHint)
+        : owner_(owner), tel_(tel), verifyAfterSign_(verifyAfterSign),
+          groupHint_(groupHint)
+    {
+    }
+
+    /**
+     * Sign @p jobs (1..LaneScheduler::maxGroup, all under @p key,
+     * none settled) and settle each through @p plane.
+     */
+    template <typename Job>
+    void run(WorkerPlane<Job> &plane, unsigned worker,
+             const SigningKey &key, std::span<Job *const> jobs);
+
+    SignCounts counts() const;
+
+  private:
+    /**
+     * Verify @p sig before release. On a mismatch the SIMD tier that
+     * produced it is quarantined process-wide (a faulty vector unit
+     * is not one worker's private problem) and the job is re-signed
+     * on the forced-scalar path, which the simd-lane fault seam
+     * cannot touch by construction.
+     * @throws SigningFault when even the scalar re-sign fails to
+     *         verify — bytes that might leak WOTS one-time key
+     *         material are never released
+     */
+    ByteVec guard(const SigningKey &key, ByteVec sig, SignJob &job);
+
+    /** Guard (when armed), stamp GuardEnd, run the callback. */
+    ByteVec release(const SigningKey &key, ByteVec sig, SignJob &job);
+
+    const std::string owner_;
+    telemetry::Telemetry &tel_;
+    const bool verifyAfterSign_;
+    const unsigned groupHint_;
+
+    std::atomic<uint64_t> laneGroups_{0};
+    std::atomic<uint64_t> crossSignJobs_{0};
+    std::atomic<uint64_t> callbackErrors_{0};
+    std::atomic<uint64_t> guardMismatches_{0};
+    std::atomic<uint64_t> laneQuarantines_{0};
+};
+
+template <typename Job>
+void
+SignStep::run(WorkerPlane<Job> &plane, unsigned worker,
+              const SigningKey &key, std::span<Job *const> jobs)
+{
+    for (Job *job : jobs)
+        tel_.stamp(job->trace, telemetry::Stage::GroupFormed);
+    tel_.recordGroup(telemetry::Plane::Sign, jobs.size(), groupHint_);
+
+    // Sign into sigs[i] for live[i]; a member that fails here is
+    // settled at once and dropped.
+    constexpr unsigned kMax = LaneScheduler::maxGroup;
+    Job *live[kMax];
+    ByteVec sigs[kMax];
+    unsigned n = 0;
+    if (jobs.size() == 1) {
+        Job &job = *jobs[0];
+        tel_.stamp(job.trace, telemetry::Stage::CryptoStart);
+        try {
+            sigs[0] = key.scheme.sign(key.ctx, job.req.message, key.sk,
+                                      job.req.optRand);
+            live[n++] = &job;
+        } catch (...) {
+            plane.fail(job, std::current_exception());
+        }
+    } else {
+        std::unique_ptr<sphincs::SignTask> tasks[kMax];
+        sphincs::SignTask *ptrs[kMax];
+        for (Job *job : jobs) {
+            try {
+                tasks[n] = std::make_unique<sphincs::SignTask>(
+                    key.ctx, key.sk, job->req.message,
+                    job->req.optRand);
+                ptrs[n] = tasks[n].get();
+                live[n++] = job;
+            } catch (...) {
+                plane.fail(*job, std::current_exception());
+            }
+        }
+        if (n == 0)
+            return;
+        for (unsigned i = 0; i < n; ++i)
+            tel_.stamp(live[i]->trace, telemetry::Stage::CryptoStart);
+        try {
+            LaneScheduler::run(ptrs, n);
+            for (unsigned i = 0; i < n; ++i)
+                sigs[i] = tasks[i]->takeSignature();
+        } catch (...) {
+            // A group-wide failure fails every member.
+            for (unsigned i = 0; i < n; ++i)
+                plane.fail(*live[i], std::current_exception());
+            return;
+        }
+        laneGroups_.fetch_add(1, std::memory_order_relaxed);
+        crossSignJobs_.fetch_add(n, std::memory_order_relaxed);
+    }
+    for (unsigned i = 0; i < n; ++i)
+        tel_.stamp(live[i]->trace, telemetry::Stage::CryptoEnd);
+    for (unsigned i = 0; i < n; ++i) {
+        try {
+            plane.succeed(worker, *live[i],
+                          release(key, std::move(sigs[i]), *live[i]));
+        } catch (...) {
+            plane.fail(*live[i], std::current_exception());
+        }
+    }
+}
+
+} // namespace herosign::batch
+
+#endif // HEROSIGN_BATCH_SIGN_STEP_HH

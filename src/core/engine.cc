@@ -419,7 +419,10 @@ SignEngine::signBatch(const std::vector<ByteVec> &messages,
     BatchExecOutcome out;
     out.workers = signer.workers();
 
-    auto futures = signer.submitMany(messages);
+    std::vector<batch::SignRequest> reqs(messages.size());
+    for (size_t i = 0; i < messages.size(); ++i)
+        reqs[i].message = messages[i];
+    auto futures = signer.submitMany(reqs);
     out.signatures.reserve(futures.size());
     for (auto &f : futures)
         out.signatures.push_back(f.get());

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 
 #include "telemetry/telemetry.hh"
@@ -55,6 +56,22 @@ struct TenantStats
     /// Same for the async verify plane.
     telemetry::HistogramSnapshot verifyLatency;
 };
+
+struct ServiceStats;
+
+/** One counter or gauge of ServiceStats, with its export name. */
+struct StatsField
+{
+    const char *name;
+    uint64_t ServiceStats::*field;
+    bool isGauge;
+};
+
+/**
+ * Every plane counter and gauge of ServiceStats, in export order: the
+ * one table behind mergedWith() and both exporters.
+ */
+std::span<const StatsField> statsFields();
 
 /** One snapshot of the whole serving layer. */
 struct ServiceStats
@@ -127,29 +144,8 @@ struct ServiceStats
     mergedWith(const ServiceStats &other) const
     {
         ServiceStats m = *this;
-        m.queueDepth += other.queueDepth;
-        m.inFlight += other.inFlight;
-        m.signsSubmitted += other.signsSubmitted;
-        m.signsCompleted += other.signsCompleted;
-        m.signFailures += other.signFailures;
-        m.signsRejected += other.signsRejected;
-        m.signLaneGroups += other.signLaneGroups;
-        m.signCrossSignJobs += other.signCrossSignJobs;
-        m.verifyQueueDepth += other.verifyQueueDepth;
-        m.verifyInFlight += other.verifyInFlight;
-        m.verifiesSubmitted += other.verifiesSubmitted;
-        m.verifies += other.verifies;
-        m.verifyRejects += other.verifyRejects;
-        m.verifyFailures += other.verifyFailures;
-        m.verifiesRejected += other.verifiesRejected;
-        m.unknownTenantRejects += other.unknownTenantRejects;
-        m.signExpired += other.signExpired;
-        m.verifyExpired += other.verifyExpired;
-        m.callbackErrors += other.callbackErrors;
-        m.workerRestarts += other.workerRestarts;
-        m.verifyWorkerRestarts += other.verifyWorkerRestarts;
-        m.guardMismatches += other.guardMismatches;
-        m.laneQuarantines += other.laneQuarantines;
+        for (const StatsField &f : statsFields())
+            m.*f.field += other.*f.field;
         m.wallUs = std::max(wallUs, other.wallUs);
         m.sigsPerSec = std::max(sigsPerSec, other.sigsPerSec);
         m.verifiesPerSec =

@@ -4,30 +4,28 @@
  * serves every registered key — each request is routed through the
  * warm ContextCache at admission, so the only per-tenant cost is the
  * first touch (one Context construction) and the hot path signs with
- * shared immutable state only. Workers coalesce queued jobs per pass
- * and sign each same-context (same-tenant) run as one cross-signature
- * lane group via batch::LaneScheduler, so SIMD hash lanes fill across
- * signatures even under interleaved multi-tenant traffic. Admission
- * control is a bounded pending-job cap surfaced through the unified
- * ServiceStats.
+ * shared immutable state only. The queue, workers, coalescing,
+ * supervision, shutdown/deadline sweep and completion ledger are the
+ * shared batch::WorkerPlane; each pass is partitioned by warm context
+ * and every same-context (same-tenant) run goes through the shared
+ * sign group step (batch::SignStep), so SIMD hash lanes fill across
+ * signatures even under interleaved multi-tenant traffic. What stays
+ * here is admission, routing, the context cache and the per-tenant
+ * counters, all surfaced through the unified ServiceStats.
  */
 
 #ifndef HEROSIGN_SERVICE_SIGN_SERVICE_HH
 #define HEROSIGN_SERVICE_SIGN_SERVICE_HH
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <stdexcept>
-#include <thread>
 #include <vector>
 
-#include "batch/mpmc_queue.hh"
 #include "batch/sign_request.hh"
+#include "batch/sign_step.hh"
+#include "batch/worker_plane.hh"
 #include "service/admission.hh"
 #include "service/context_cache.hh"
 #include "service/key_store.hh"
@@ -64,7 +62,6 @@ class SignService
         std::shared_ptr<ContextCache> cache = nullptr,
         std::shared_ptr<StatsRegistry> stats = nullptr,
         std::shared_ptr<AdmissionController> admission = nullptr);
-    ~SignService();
 
     SignService(const SignService &) = delete;
     SignService &operator=(const SignService &) = delete;
@@ -90,12 +87,8 @@ class SignService
     submitMany(const std::string &key_id,
                std::span<batch::SignRequest> reqs);
 
-    /** Legacy positional shim for submit(key_id, SignRequest). */
-    std::future<ByteVec> submitSign(const std::string &key_id,
-                                    ByteVec msg, ByteVec opt_rand = {});
-
     /** Block until everything submitted so far has completed. */
-    void drain();
+    void drain() { plane_.drain(); }
 
     /**
      * Shut down without stranding: reject new submits with
@@ -106,26 +99,18 @@ class SignService
      * no-op join. Plain destruction instead drains gracefully by
      * signing everything queued.
      */
-    void close();
+    void close() { plane_.close(); }
 
     /** Snapshot the unified serving-layer statistics. */
     ServiceStats stats() const;
 
     /** Jobs submitted and not yet completed (approximate). */
-    uint64_t pending() const
-    {
-        const uint64_t done = completed_.load();
-        const uint64_t sub = submitted_.load();
-        return sub - done;
-    }
+    uint64_t pending() const { return plane_.pending(); }
 
-    unsigned workers() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
+    unsigned workers() const { return plane_.workers(); }
 
     /** Jobs one worker coalesces per pass (1 = no coalescing). */
-    unsigned coalesceWindow() const { return coalesce_; }
+    unsigned coalesceWindow() const { return plane_.window(); }
 
     const std::shared_ptr<ContextCache> &contextCache() const
     {
@@ -145,70 +130,26 @@ class SignService
     KeyStore &keyStore() const { return store_; }
 
   private:
-    /** One queued signing job, fully routed at admission. */
-    struct Task
+    /** One queued signing job, routed to its warm context at
+     * admission. */
+    struct Task : batch::SignJob
     {
         std::shared_ptr<const WarmContext> warm;
         TenantCounters *tenant = nullptr;
-        uint64_t seq = 0;
-        ByteVec msg;
-        ByteVec optRand;
-        batch::SignCallback callback;
-        std::optional<batch::Deadline> deadline;
-        std::promise<ByteVec> promise;
-        /// Set once the promise is fulfilled or failed; lets the
-        /// worker supervisor fail exactly the unsettled tasks.
-        bool settled = false;
-        /// Telemetry stage stamps plus accumulated kSpan* flags.
-        telemetry::TraceClock trace;
-        uint32_t traceFlags = 0;
     };
 
-    struct Worker
-    {
-        std::thread thread;
-    };
-
-    void workerLoop(unsigned id);
-    void processChunk(std::vector<Task> &chunk);
-    void finishTask(Task &task, ByteVec sig);
-    void failTask(Task &task, std::exception_ptr err);
-    void noteCompletion();
-    void signSameContextGroup(Task *const tasks[], unsigned count);
-    ByteVec guardSignature(ByteVec sig, Task &task);
-    void completeTrace(Task &task, bool ok);
+    void signPass(unsigned worker, std::span<Task *const> live);
+    void settle(Task &task, bool ok, telemetry::RequestOutcome &out);
 
     KeyStore &store_;
-    ServiceConfig config_;
     std::shared_ptr<ContextCache> cache_;
     std::shared_ptr<StatsRegistry> statsReg_;
-    /// The shared registry's telemetry plane (never null; cached so
-    /// hot paths skip the shared_ptr indirection).
-    telemetry::Telemetry *tel_;
     std::shared_ptr<AdmissionController> admission_;
-    batch::ShardedMpmcQueue<Task> queue_;
-    unsigned coalesce_;
-    std::vector<std::unique_ptr<Worker>> workers_;
-
-    std::atomic<bool> closing_{false};
-    std::atomic<uint64_t> submitted_{0};
-    std::atomic<uint64_t> completed_{0};
-    std::atomic<uint64_t> failures_{0};
     std::atomic<uint64_t> rejected_{0};
-    std::atomic<uint64_t> laneGroups_{0};
-    std::atomic<uint64_t> crossSignJobs_{0};
-    std::atomic<uint64_t> expired_{0};
-    std::atomic<uint64_t> callbackErrors_{0};
-    std::atomic<uint64_t> workerRestarts_{0};
-    std::atomic<uint64_t> guardMismatches_{0};
-    std::atomic<uint64_t> laneQuarantines_{0};
-
-    // Epoch bookkeeping for wall-clock rates, guarded by drainM_.
-    mutable std::mutex drainM_;
-    std::condition_variable drainCv_;
-    std::chrono::steady_clock::time_point epochStart_;
-    std::chrono::steady_clock::time_point lastCompletion_;
-    bool epochOpen_ = false;
+    batch::SignStep step_;
+    // Last member: its workers use everything above, and its
+    // destructor joins them first.
+    batch::WorkerPlane<Task> plane_;
 };
 
 } // namespace herosign::service

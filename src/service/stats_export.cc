@@ -17,6 +17,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace herosign::service
 {
 
@@ -27,82 +29,6 @@ using telemetry::HistogramSnapshot;
 using telemetry::LatencyHistogram;
 
 constexpr double kNsPerSec = 1e9;
-
-/** Counter/gauge name → value table driving both exporters. */
-struct NamedValue
-{
-    const char *name;
-    uint64_t value;
-    bool isGauge;
-};
-
-std::vector<NamedValue>
-namedValues(const ServiceStats &s)
-{
-    return {
-        {"queue_depth", s.queueDepth, true},
-        {"in_flight", s.inFlight, true},
-        {"signs_submitted", s.signsSubmitted, false},
-        {"signs_completed", s.signsCompleted, false},
-        {"sign_failures", s.signFailures, false},
-        {"signs_rejected", s.signsRejected, false},
-        {"sign_lane_groups", s.signLaneGroups, false},
-        {"sign_cross_sign_jobs", s.signCrossSignJobs, false},
-        {"verify_queue_depth", s.verifyQueueDepth, true},
-        {"verify_in_flight", s.verifyInFlight, true},
-        {"verifies_submitted", s.verifiesSubmitted, false},
-        {"verifies", s.verifies, false},
-        {"verify_rejects", s.verifyRejects, false},
-        {"verify_failures", s.verifyFailures, false},
-        {"verifies_rejected", s.verifiesRejected, false},
-        {"unknown_tenant_rejects", s.unknownTenantRejects, false},
-        {"sign_expired", s.signExpired, false},
-        {"verify_expired", s.verifyExpired, false},
-        {"callback_errors", s.callbackErrors, false},
-        {"worker_restarts", s.workerRestarts, false},
-        {"verify_worker_restarts", s.verifyWorkerRestarts, false},
-        {"guard_mismatches", s.guardMismatches, false},
-        {"lane_quarantines", s.laneQuarantines, false},
-    };
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s)
-    {
-        switch (c)
-        {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-            {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            }
-            else
-                out += c;
-        }
-    }
-    return out;
-}
 
 void
 jsonHistogram(std::ostringstream &os, const HistogramSnapshot &h)
@@ -177,30 +103,55 @@ isLatencyMetric(const std::string &metric)
 
 } // namespace
 
+std::span<const StatsField>
+statsFields()
+{
+    using S = ServiceStats;
+    static const StatsField fields[] = {
+        {"queue_depth", &S::queueDepth, true},
+        {"in_flight", &S::inFlight, true},
+        {"signs_submitted", &S::signsSubmitted, false},
+        {"signs_completed", &S::signsCompleted, false},
+        {"sign_failures", &S::signFailures, false},
+        {"signs_rejected", &S::signsRejected, false},
+        {"sign_lane_groups", &S::signLaneGroups, false},
+        {"sign_cross_sign_jobs", &S::signCrossSignJobs, false},
+        {"verify_queue_depth", &S::verifyQueueDepth, true},
+        {"verify_in_flight", &S::verifyInFlight, true},
+        {"verifies_submitted", &S::verifiesSubmitted, false},
+        {"verifies", &S::verifies, false},
+        {"verify_rejects", &S::verifyRejects, false},
+        {"verify_failures", &S::verifyFailures, false},
+        {"verifies_rejected", &S::verifiesRejected, false},
+        {"unknown_tenant_rejects", &S::unknownTenantRejects, false},
+        {"sign_expired", &S::signExpired, false},
+        {"verify_expired", &S::verifyExpired, false},
+        {"callback_errors", &S::callbackErrors, false},
+        {"worker_restarts", &S::workerRestarts, false},
+        {"verify_worker_restarts", &S::verifyWorkerRestarts, false},
+        {"guard_mismatches", &S::guardMismatches, false},
+        {"lane_quarantines", &S::laneQuarantines, false},
+    };
+    return fields;
+}
+
 std::string
 StatsRegistry::exportJson(const ServiceStats &s)
 {
     std::ostringstream os;
-    os << "{";
-    os << "\"counters\":{";
-    bool first = true;
-    for (const NamedValue &nv : namedValues(s))
+    bool first;
+    for (const bool gauges : {false, true})
     {
-        if (nv.isGauge)
-            continue;
-        os << (first ? "" : ",") << "\"" << nv.name
-           << "\":" << nv.value;
-        first = false;
-    }
-    os << "},\"gauges\":{";
-    first = true;
-    for (const NamedValue &nv : namedValues(s))
-    {
-        if (!nv.isGauge)
-            continue;
-        os << (first ? "" : ",") << "\"" << nv.name
-           << "\":" << nv.value;
-        first = false;
+        os << (gauges ? "},\"gauges\":{" : "{\"counters\":{");
+        first = true;
+        for (const StatsField &f : statsFields())
+        {
+            if (f.isGauge != gauges)
+                continue;
+            os << (first ? "" : ",") << "\"" << f.name
+               << "\":" << s.*f.field;
+            first = false;
+        }
     }
     os << "},\"rates\":{\"wall_us\":" << s.wallUs
        << ",\"sigs_per_sec\":" << s.sigsPerSec
@@ -254,16 +205,16 @@ std::string
 StatsRegistry::exportPrometheus(const ServiceStats &s)
 {
     std::ostringstream os;
-    for (const NamedValue &nv : namedValues(s))
+    for (const StatsField &f : statsFields())
     {
         const std::string name =
-            std::string("herosign_") + nv.name +
-            (nv.isGauge ? "" : "_total");
+            std::string("herosign_") + f.name +
+            (f.isGauge ? "" : "_total");
         os << "# HELP " << name << " herosign serving-layer "
-           << (nv.isGauge ? "gauge" : "counter") << "\n";
+           << (f.isGauge ? "gauge" : "counter") << "\n";
         os << "# TYPE " << name << " "
-           << (nv.isGauge ? "gauge" : "counter") << "\n";
-        os << name << " " << nv.value << "\n";
+           << (f.isGauge ? "gauge" : "counter") << "\n";
+        os << name << " " << s.*f.field << "\n";
     }
 
     os << "# HELP herosign_cache_size warm contexts held\n"

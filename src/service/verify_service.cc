@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/errors.hh"
-#include "common/fault.hh"
 #include "sphincs/thashx.hh"
 
 namespace herosign::service
@@ -25,62 +24,30 @@ VerifyService::VerifyService(
     std::shared_ptr<ContextCache> cache,
     std::shared_ptr<StatsRegistry> stats,
     std::shared_ptr<AdmissionController> admission)
-    : store_(store), config_(config),
+    : store_(store),
       cache_(cache ? std::move(cache)
                    : std::make_shared<ContextCache>(
                          config.contextCacheCapacity, config.variant)),
       statsReg_(stats ? std::move(stats)
                       : std::make_shared<StatsRegistry>(
                             config.telemetry)),
-      tel_(&statsReg_->telemetry()),
       admission_(admission
                      ? std::move(admission)
                      : std::make_shared<AdmissionController>(
                            AdmissionLimits::fromConfig(config))),
-      queue_(config.verifyShards == 0 ? 1 : config.verifyShards),
-      coalesce_(config.verifyCoalesce > 0
-                    ? config.verifyCoalesce
-                    : kCoalesceLaneFactor * sphincs::hashLaneWidth())
+      plane_("VerifyService", telemetry::Plane::Verify,
+             config.verifyWorkers, config.verifyShards,
+             config.verifyCoalesce > 0
+                 ? config.verifyCoalesce
+                 : kCoalesceLaneFactor * sphincs::hashLaneWidth(),
+             statsReg_->telemetry(),
+             [this](unsigned w, std::span<Task *const> live) {
+                 verifyPass(w, live);
+             },
+             [this](Task &t, bool ok, telemetry::RequestOutcome &out) {
+                 settle(t, ok, out);
+             })
 {
-    const unsigned n =
-        config.verifyWorkers == 0 ? 1 : config.verifyWorkers;
-    workers_.reserve(n);
-    try {
-        for (unsigned i = 0; i < n; ++i)
-            workers_.emplace_back([this, i] { workerLoop(i); });
-    } catch (...) {
-        queue_.close();
-        for (auto &w : workers_) {
-            if (w.joinable())
-                w.join();
-        }
-        throw;
-    }
-}
-
-VerifyService::~VerifyService()
-{
-    // Graceful teardown: everything still queued is verified before
-    // the workers join — destruction never strands a future.
-    queue_.close();
-    for (auto &w : workers_) {
-        if (w.joinable())
-            w.join();
-    }
-}
-
-void
-VerifyService::close()
-{
-    closing_.store(true, std::memory_order_release);
-    // Workers still pop what remains; the closing_ flag makes
-    // processChunk() fast-fail each request with ServiceShutdown,
-    // releasing its admission slot — no future is stranded.
-    queue_.close();
-    for (auto &w : workers_) {
-        if (w.joinable())
-            w.join();
-    }
 }
 
 bool
@@ -89,28 +56,6 @@ VerifyService::verify(const std::string &key_id, ByteSpan msg,
 {
     VerifyRequest req{key_id, msg, sig};
     return verifyBatch({req})[0] != 0;
-}
-
-void
-VerifyService::openEpochAndCountSubmitted(uint64_t count)
-{
-    std::lock_guard<std::mutex> lk(epochM_);
-    if (!epochOpen_) {
-        epochOpen_ = true;
-        epochStart_ = std::chrono::steady_clock::now();
-    }
-    submitted_.fetch_add(count, std::memory_order_relaxed);
-}
-
-void
-VerifyService::noteCompletion(uint64_t count)
-{
-    {
-        std::lock_guard<std::mutex> lk(epochM_);
-        completed_.fetch_add(count, std::memory_order_release);
-        lastCompletion_ = std::chrono::steady_clock::now();
-    }
-    drainCv_.notify_all();
 }
 
 std::vector<uint8_t>
@@ -124,8 +69,8 @@ VerifyService::runGroup(const WarmContext &warm, TenantCounters &tc,
     // Group-shape telemetry covers both planes' callers of runGroup:
     // the async batcher's coalesced groups and the synchronous
     // per-tenant groups alike.
-    tel_->recordGroup(telemetry::Plane::Verify, n,
-                      sphincs::hashLaneWidth());
+    statsReg_->telemetry().recordGroup(telemetry::Plane::Verify, n,
+                                       sphincs::hashLaneWidth());
     verifies_.fetch_add(n, std::memory_order_relaxed);
     tc.verifies.fetch_add(n, std::memory_order_relaxed);
     uint64_t group_rejects = 0;
@@ -147,7 +92,7 @@ VerifyService::verifyBatch(const std::vector<VerifyRequest> &reqs)
     std::vector<uint8_t> out(reqs.size(), 0);
     if (reqs.empty())
         return out;
-    openEpochAndCountSubmitted(reqs.size());
+    plane_.admit(reqs.size());
 
     // Group request indices by tenant, preserving submission order
     // within each group so lanes fill deterministically.
@@ -166,7 +111,7 @@ VerifyService::verifyBatch(const std::vector<VerifyRequest> &reqs)
             rejects_.fetch_add(idxs.size(), std::memory_order_relaxed);
             unknownRejects_.fetch_add(idxs.size(),
                                       std::memory_order_relaxed);
-            noteCompletion(idxs.size());
+            plane_.complete(idxs.size());
             continue;
         }
         TenantCounters &tc = statsReg_->tenant(key_id);
@@ -183,7 +128,7 @@ VerifyService::verifyBatch(const std::vector<VerifyRequest> &reqs)
         auto flags = runGroup(*warm, tc, msgs, sigs);
         for (size_t j = 0; j < idxs.size(); ++j)
             out[idxs[j]] = flags[j];
-        noteCompletion(idxs.size());
+        plane_.complete(idxs.size());
     }
     return out;
 }
@@ -209,24 +154,16 @@ VerifyService::submit(const std::string &key_id,
 {
     // Checked before admission so a rejected-at-shutdown submit never
     // claims (and then has to return) budget.
-    if (closing_.load(std::memory_order_acquire))
-        throw ServiceShutdown("VerifyService: submit after close()");
-    ByteVec msg = std::move(req.message);
-    ByteVec sig = std::move(req.signature);
+    plane_.throwIfClosed();
     auto key = store_.find(key_id);
     if (!key) {
-        // Reject-not-throw, mirroring the synchronous path: a bad key
-        // id is data. Resolved inline — no admission budget consumed,
+        // Reject-not-throw: a bad key id is data. Resolved inline by
+        // the synchronous path — no admission budget consumed,
         // nothing queued, no registry entry created.
         std::promise<bool> p;
-        auto fut = p.get_future();
-        openEpochAndCountSubmitted(1);
-        verifies_.fetch_add(1, std::memory_order_relaxed);
-        rejects_.fetch_add(1, std::memory_order_relaxed);
-        unknownRejects_.fetch_add(1, std::memory_order_relaxed);
-        noteCompletion(1);
-        p.set_value(false);
-        return fut;
+        p.set_value(
+            verifyBatch({{key_id, req.message, req.signature}})[0]);
+        return p.get_future();
     }
 
     TenantCounters &tc = statsReg_->tenant(key_id);
@@ -236,35 +173,21 @@ VerifyService::submit(const std::string &key_id,
         rejected_.fetch_add(1, std::memory_order_relaxed);
         throw;
     }
-
-    // The slot is claimed: any failure from here to a successful
-    // enqueue must complete the request and return the budget, or
-    // drain() would wait forever.
-    try {
-        openEpochAndCountSubmitted(1);
-        tc.verifiesSubmitted.fetch_add(1, std::memory_order_relaxed);
-        Task task;
-        // Route once at admission: workers verify with shared
-        // immutable warm state only.
-        task.warm = cache_->acquire(key);
-        task.tenant = &tc;
-        task.msg = std::move(msg);
-        task.sig = std::move(sig);
-        task.deadline = req.deadline;
-        auto fut = task.promise.get_future();
-        tel_->stamp(task.trace, telemetry::Stage::Admit);
-        queue_.push(std::move(task));
-        return fut;
-    } catch (...) {
-        failures_.fetch_add(1, std::memory_order_relaxed);
-        tc.verifyFailures.fetch_add(1, std::memory_order_relaxed);
-        admission_->release(Plane::Verify, tc);
-        noteCompletion(1);
-        if (closing_.load(std::memory_order_acquire))
-            throw ServiceShutdown(
-                "VerifyService: submit after close()");
-        throw;
-    }
+    tc.verifiesSubmitted.fetch_add(1, std::memory_order_relaxed);
+    return plane_.submit(
+        [&] {
+            Task task;
+            // Route once at admission: workers verify with shared
+            // immutable warm state only.
+            task.warm = cache_->acquire(key);
+            task.tenant = &tc;
+            task.req = std::move(req);
+            return task;
+        },
+        [&] {
+            tc.verifyFailures.fetch_add(1, std::memory_order_relaxed);
+            admission_->release(Plane::Verify, tc);
+        });
 }
 
 std::vector<std::future<bool>>
@@ -278,213 +201,83 @@ VerifyService::submitMany(const std::string &key_id,
     return futures;
 }
 
-std::future<bool>
-VerifyService::submitVerify(const std::string &key_id, ByteVec msg,
-                            ByteVec sig)
-{
-    return submit(key_id, batch::VerifyRequest{std::move(msg),
-                                               std::move(sig), {}});
-}
-
 void
-VerifyService::workerLoop(unsigned id)
+VerifyService::settle(Task &task, bool ok,
+                      telemetry::RequestOutcome &out)
 {
-    const unsigned home = id % queue_.shards();
-    std::vector<Task> chunk;
-    Task task;
-    while (queue_.pop(task, home)) {
-        chunk.clear();
-        tel_->stamp(task.trace, telemetry::Stage::Dequeue);
-        chunk.push_back(std::move(task));
-        // Lane-filling coalescing: opportunistically drain the queue
-        // up to the coalescing window so the per-tenant groups below
-        // reach the dispatched lane width even when tenants
-        // interleave in the arrival order.
-        Task extra;
-        while (chunk.size() < coalesce_ &&
-               queue_.tryPop(extra, home)) {
-            tel_->stamp(extra.trace, telemetry::Stage::Dequeue);
-            chunk.push_back(std::move(extra));
-        }
-        try {
-            if (FaultInjector::fire(FaultPoint::QueueStall))
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(
-                        FaultInjector::instance().stallMs()));
-            FaultInjector::throwIfFires(FaultPoint::WorkerThrow);
-            processChunk(chunk);
-        } catch (...) {
-            // Supervision: an exception escaping a pass fails only
-            // this pass's unsettled tasks (releasing their admission
-            // slots) — then the worker keeps running, an in-place
-            // restart that never shrinks the pool.
-            for (Task &t : chunk)
-                failTask(t, std::current_exception());
-            workerRestarts_.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-}
-
-void
-VerifyService::completeTrace(Task &task, bool ok)
-{
-    if (!tel_->enabled())
-        return;
-    tel_->stamp(task.trace, telemetry::Stage::Done);
-    telemetry::RequestOutcome out;
-    out.plane = telemetry::Plane::Verify;
-    out.tenant = &task.tenant->id;
-    out.flags = task.traceFlags;
+    TenantCounters &tc = *task.tenant;
     if (!ok)
-        out.flags |= telemetry::kSpanFailed;
-    if (FaultInjector::armed())
-        out.flags |= telemetry::kSpanFaultArmed;
-    out.recordHistograms = ok;
-    out.tenantEndToEnd = ok ? &task.tenant->verifyLatency : nullptr;
-    tel_->complete(task.trace, out);
+        tc.verifyFailures.fetch_add(1, std::memory_order_relaxed);
+    out.tenant = &tc.id;
+    out.tenantEndToEnd = ok ? &tc.verifyLatency : nullptr;
+    task.warm.reset(); // release the context pin promptly
+    admission_->release(Plane::Verify, tc);
 }
 
 void
-VerifyService::failTask(Task &task, std::exception_ptr err)
+VerifyService::verifyPass(unsigned worker, std::span<Task *const> live)
 {
-    if (task.settled)
-        return;
-    failures_.fetch_add(1, std::memory_order_relaxed);
-    task.tenant->verifyFailures.fetch_add(1,
-                                          std::memory_order_relaxed);
-    task.promise.set_exception(std::move(err));
-    task.settled = true;
-    completeTrace(task, false);
-    task.warm.reset();
-    admission_->release(Plane::Verify, *task.tenant);
-    noteCompletion(1);
-}
-
-void
-VerifyService::processChunk(std::vector<Task> &chunk)
-{
-    // Admission filter at dequeue time: a closing service fast-fails
-    // everything still queued, and per-request deadlines drop work
-    // that is already too late — the promise is settled with a typed
-    // error and the admission slot returns to the shared budget.
-    const bool closing = closing_.load(std::memory_order_acquire);
-    const auto now = std::chrono::steady_clock::now();
-    for (Task &t : chunk) {
-        if (closing) {
-            failTask(t, std::make_exception_ptr(ServiceShutdown(
-                            "VerifyService: closed while the request "
-                            "was still queued")));
-        } else if (t.deadline && now > *t.deadline) {
-            expired_.fetch_add(1, std::memory_order_relaxed);
-            t.traceFlags |= telemetry::kSpanExpired;
-            failTask(t, std::make_exception_ptr(DeadlineExceeded(
-                            "VerifyService: deadline passed while "
-                            "the request was queued")));
-        }
-    }
-
     // Group by warm context rather than tenant id: a mid-flight key
     // rotation can put two different contexts for one id in the same
-    // chunk, and each request must verify under the context it was
+    // pass, and each request must verify under the context it was
     // admitted with.
-    std::map<const WarmContext *, std::vector<size_t>> groups;
-    for (size_t i = 0; i < chunk.size(); ++i) {
-        if (!chunk[i].settled)
-            groups[chunk[i].warm.get()].push_back(i);
-    }
+    std::map<const WarmContext *, std::vector<Task *>> groups;
+    for (Task *t : live)
+        groups[t->warm.get()].push_back(t);
 
-    for (auto &[warm, idxs] : groups) {
-        TenantCounters &tc = *chunk[idxs[0]].tenant;
-        std::vector<ByteSpan> msgs(idxs.size());
-        std::vector<ByteSpan> sigs(idxs.size());
-        for (size_t j = 0; j < idxs.size(); ++j) {
-            Task &t = chunk[idxs[j]];
-            tel_->stamp(t.trace, telemetry::Stage::GroupFormed);
-            msgs[j] = ByteSpan(t.msg);
-            sigs[j] = ByteSpan(t.sig);
+    telemetry::Telemetry &tel = statsReg_->telemetry();
+    for (auto &[warm, tasks] : groups) {
+        std::vector<ByteSpan> msgs(tasks.size());
+        std::vector<ByteSpan> sigs(tasks.size());
+        for (size_t j = 0; j < tasks.size(); ++j) {
+            tel.stamp(tasks[j]->trace, telemetry::Stage::GroupFormed);
+            msgs[j] = ByteSpan(tasks[j]->req.message);
+            sigs[j] = ByteSpan(tasks[j]->req.signature);
         }
         try {
-            for (size_t j = 0; j < idxs.size(); ++j)
-                tel_->stamp(chunk[idxs[j]].trace,
-                            telemetry::Stage::CryptoStart);
-            auto flags = runGroup(*warm, tc, msgs, sigs);
-            for (size_t j = 0; j < idxs.size(); ++j) {
-                Task &t = chunk[idxs[j]];
+            for (Task *t : tasks)
+                tel.stamp(t->trace, telemetry::Stage::CryptoStart);
+            auto flags = runGroup(*warm, *tasks[0]->tenant, msgs, sigs);
+            for (size_t j = 0; j < tasks.size(); ++j) {
                 // Verification has no guard pass; GuardEnd ==
                 // CryptoEnd keeps the callback stage well-defined.
-                tel_->stamp(t.trace, telemetry::Stage::CryptoEnd);
-                tel_->stamp(t.trace, telemetry::Stage::GuardEnd);
-                t.promise.set_value(flags[j] != 0);
-                t.settled = true;
-                completeTrace(t, true);
+                tel.stamp(tasks[j]->trace, telemetry::Stage::CryptoEnd);
+                tel.stamp(tasks[j]->trace, telemetry::Stage::GuardEnd);
+                plane_.succeed(worker, *tasks[j], flags[j] != 0);
             }
         } catch (...) {
-            failures_.fetch_add(idxs.size(),
-                                std::memory_order_relaxed);
-            tc.verifyFailures.fetch_add(idxs.size(),
-                                        std::memory_order_relaxed);
-            for (size_t j = 0; j < idxs.size(); ++j) {
-                Task &t = chunk[idxs[j]];
-                t.promise.set_exception(std::current_exception());
-                t.settled = true;
-                completeTrace(t, false);
-            }
+            for (Task *t : tasks)
+                plane_.fail(*t, std::current_exception());
         }
-        for (size_t j = 0; j < idxs.size(); ++j)
-            chunk[idxs[j]].warm.reset(); // release context pins
-        admission_->release(Plane::Verify, tc, idxs.size());
-        noteCompletion(idxs.size());
     }
-}
-
-void
-VerifyService::drain()
-{
-    std::unique_lock<std::mutex> lk(epochM_);
-    drainCv_.wait(lk, [&] {
-        return completed_.load(std::memory_order_acquire) ==
-               submitted_.load(std::memory_order_acquire);
-    });
 }
 
 ServiceStats
 VerifyService::stats() const
 {
     ServiceStats st;
-    st.verifyFailures = failures_.load(std::memory_order_relaxed);
+    // Verdict counters first: every verdict counted here was admitted
+    // before the ledger read below, so verifiesSubmitted bounds them.
     st.verifies = verifies_.load(std::memory_order_relaxed);
     st.verifiesRejected = rejected_.load(std::memory_order_relaxed);
     st.verifyRejects = rejects_.load(std::memory_order_relaxed);
     st.unknownTenantRejects =
         unknownRejects_.load(std::memory_order_relaxed);
-    st.verifyExpired = expired_.load(std::memory_order_relaxed);
-    st.verifyWorkerRestarts =
-        workerRestarts_.load(std::memory_order_relaxed);
-    uint64_t done;
-    {
-        // One consistent snapshot of the counters AND the gauges:
-        // openEpochAndCountSubmitted() and noteCompletion() both
-        // serialize on epochM_, so holding it here freezes
-        // submitted_/completed_ — verifyInFlight is exact, and every
-        // request still queued is submitted-and-not-completed, so
-        // verifyQueueDepth <= verifyInFlight holds in the snapshot.
-        std::lock_guard<std::mutex> lk(epochM_);
-        done = completed_.load(std::memory_order_acquire);
-        st.verifiesSubmitted =
-            submitted_.load(std::memory_order_acquire);
-        st.verifyInFlight = st.verifiesSubmitted - done;
-        st.verifyQueueDepth = queue_.sizeApprox();
-        if (epochOpen_ && done > 0)
-            st.wallUs = std::chrono::duration<double, std::micro>(
-                            lastCompletion_ - epochStart_)
-                            .count();
-    }
+    const batch::Ledger ledger = plane_.ledger();
+    st.verifyFailures = ledger.failures;
+    st.verifyExpired = ledger.expired;
+    st.verifyWorkerRestarts = ledger.restarts;
+    st.verifiesSubmitted = ledger.submitted;
+    st.verifyInFlight = ledger.submitted - ledger.completed;
+    st.verifyQueueDepth = ledger.queueDepth;
+    st.wallUs = ledger.wallUs;
     st.verifiesPerSec =
         st.wallUs > 0 ? st.verifies * 1e6 / st.wallUs : 0.0;
     st.cache = cache_->stats();
     st.tenants =
         statsReg_->snapshot(0, StatsRegistry::kVerifyPlane);
-    st.stages = tel_->snapshotStages(telemetry::Plane::Verify);
+    st.stages = statsReg_->telemetry().snapshotStages(
+        telemetry::Plane::Verify);
     return st;
 }
 

@@ -8,10 +8,12 @@
  *    requests by tenant on the caller's thread and runs each group
  *    through SphincsPlus::verifyBatch, filling the dispatched
  *    hash-lane width across signatures;
- *  - the asynchronous plane (submitVerify) queues requests on a
- *    sharded MPMC queue served by the service's own worker pool. A
- *    lane-filling batcher coalesces queued requests — up to the
- *    coalescing window per pass — and groups them per tenant, so
+ *  - the asynchronous plane (submit) runs on the shared
+ *    batch::WorkerPlane — the same queue, workers, coalescing,
+ *    supervision, shutdown/deadline sweep and completion ledger as
+ *    BatchSigner and SignService — with its own group step: each
+ *    coalesced pass (up to the coalescing window) is grouped per
+ *    warm context and verified through SphincsPlus::verifyBatch, so
  *    interleaved mixed-tenant traffic still fills whole lane groups.
  *
  * Both planes sit behind the same AdmissionController as SignService
@@ -24,18 +26,14 @@
 #define HEROSIGN_SERVICE_VERIFY_SERVICE_HH
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "batch/mpmc_queue.hh"
 #include "batch/sign_request.hh"
+#include "batch/worker_plane.hh"
 #include "service/admission.hh"
 #include "service/context_cache.hh"
 #include "service/key_store.hh"
@@ -57,7 +55,7 @@ struct VerifyRequest
  *
  * Thread-safe: the synchronous calls run on the caller's thread
  * (verification is read-only, so any number of threads may call
- * concurrently) and submitVerify() may be called from any number of
+ * concurrently) and submit() may be called from any number of
  * producers. The destructor drains outstanding async work before
  * joining the workers.
  */
@@ -83,7 +81,6 @@ class VerifyService
         std::shared_ptr<ContextCache> cache = nullptr,
         std::shared_ptr<StatsRegistry> stats = nullptr,
         std::shared_ptr<AdmissionController> admission = nullptr);
-    ~VerifyService();
 
     VerifyService(const VerifyService &) = delete;
     VerifyService &operator=(const VerifyService &) = delete;
@@ -133,12 +130,8 @@ class VerifyService
     submitMany(const std::string &key_id,
                std::span<batch::VerifyRequest> reqs);
 
-    /** Legacy positional shim for submit(key_id, VerifyRequest). */
-    std::future<bool> submitVerify(const std::string &key_id,
-                                   ByteVec msg, ByteVec sig);
-
     /** Block until everything submitted so far has a verdict. */
-    void drain();
+    void drain() { plane_.drain(); }
 
     /**
      * Shut down without stranding: reject new submits with
@@ -148,28 +141,18 @@ class VerifyService
      * destruction instead drains gracefully by verifying everything
      * queued.
      */
-    void close();
+    void close() { plane_.close(); }
 
     /** Snapshot (verify plane, cache, per-tenant). */
     ServiceStats stats() const;
 
     /** Requests accepted and not yet completed (approximate). */
-    uint64_t pending() const
-    {
-        const uint64_t done =
-            completed_.load(std::memory_order_acquire);
-        const uint64_t sub =
-            submitted_.load(std::memory_order_acquire);
-        return sub - done;
-    }
+    uint64_t pending() const { return plane_.pending(); }
 
-    unsigned workers() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
+    unsigned workers() const { return plane_.workers(); }
 
     /** Requests one worker coalesces into a single grouped pass. */
-    unsigned coalesceWindow() const { return coalesce_; }
+    unsigned coalesceWindow() const { return plane_.window(); }
 
     const std::shared_ptr<ContextCache> &contextCache() const
     {
@@ -187,27 +170,16 @@ class VerifyService
     }
 
   private:
-    /** One queued verification, fully routed at admission. */
-    struct Task
+    /** One queued verification, routed to its warm context at
+     * admission. */
+    struct Task : batch::PlaneTask<batch::VerifyRequest, bool>
     {
         std::shared_ptr<const WarmContext> warm;
         TenantCounters *tenant = nullptr;
-        ByteVec msg;
-        ByteVec sig;
-        std::optional<batch::Deadline> deadline;
-        std::promise<bool> promise;
-        /// Set once the promise is fulfilled or failed; lets the
-        /// worker supervisor fail exactly the unsettled tasks.
-        bool settled = false;
-        /// Telemetry stage stamps plus accumulated kSpan* flags.
-        telemetry::TraceClock trace;
-        uint32_t traceFlags = 0;
     };
 
-    void workerLoop(unsigned id);
-    void processChunk(std::vector<Task> &chunk);
-    void failTask(Task &task, std::exception_ptr err);
-    void completeTrace(Task &task, bool ok);
+    void verifyPass(unsigned worker, std::span<Task *const> live);
+    void settle(Task &task, bool ok, telemetry::RequestOutcome &out);
 
     /**
      * Run one same-context group through the lane-parallel verifier
@@ -219,38 +191,18 @@ class VerifyService
                                   const std::vector<ByteSpan> &msgs,
                                   const std::vector<ByteSpan> &sigs);
 
-    void openEpochAndCountSubmitted(uint64_t count);
-    void noteCompletion(uint64_t count);
-
     KeyStore &store_;
-    ServiceConfig config_;
     std::shared_ptr<ContextCache> cache_;
     std::shared_ptr<StatsRegistry> statsReg_;
-    /// The shared registry's telemetry plane (never null; cached so
-    /// hot paths skip the shared_ptr indirection).
-    telemetry::Telemetry *tel_;
     std::shared_ptr<AdmissionController> admission_;
-    batch::ShardedMpmcQueue<Task> queue_;
-    unsigned coalesce_;
-    std::vector<std::thread> workers_;
-
-    std::atomic<bool> closing_{false};
-    std::atomic<uint64_t> submitted_{0}; ///< accepted, both paths
-    std::atomic<uint64_t> completed_{0}; ///< verdict or exception out
-    std::atomic<uint64_t> verifies_{0};  ///< attempts with a verdict
-    std::atomic<uint64_t> failures_{0};  ///< attempts that threw
-    std::atomic<uint64_t> rejects_{0};   ///< false verdicts
-    std::atomic<uint64_t> rejected_{0};  ///< admission refusals
+    std::atomic<uint64_t> verifies_{0}; ///< attempts with a verdict
+    std::atomic<uint64_t> rejects_{0};  ///< false verdicts
+    std::atomic<uint64_t> rejected_{0}; ///< admission refusals
     std::atomic<uint64_t> unknownRejects_{0};
-    std::atomic<uint64_t> expired_{0};   ///< deadline drops at dequeue
-    std::atomic<uint64_t> workerRestarts_{0};
-
-    // Epoch bookkeeping for wall-clock rates, guarded by epochM_.
-    mutable std::mutex epochM_;
-    std::condition_variable drainCv_;
-    std::chrono::steady_clock::time_point epochStart_;
-    std::chrono::steady_clock::time_point lastCompletion_;
-    bool epochOpen_ = false;
+    // Last member: its workers use everything above, and its
+    // destructor joins them first. Its ledger also counts the
+    // synchronous path's requests.
+    batch::WorkerPlane<Task> plane_;
 };
 
 } // namespace herosign::service

@@ -1,12 +1,14 @@
 #include "tune/profile.hh"
 
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
 #include "common/hex.hh"
+#include "common/json.hh"
 #include "hash/sha256.hh"
 #include "sphincs/thashx.hh"
 
@@ -68,15 +70,22 @@ class JsonReader
                 case '/': out += '/'; break;
                 case 'n': out += '\n'; break;
                 case 't': out += '\t'; break;
-                case 'u':
-                    // Profiles only ever contain ASCII; decode the
-                    // low byte and reject anything wider.
+                case 'u': {
+                    // Profiles only ever contain ASCII: exactly four
+                    // hex digits naming a value <= 0x7F; anything
+                    // short, non-hex or wider is rejected.
                     if (pos_ + 4 > s_.size())
                         fail("truncated \\u escape");
-                    out += static_cast<char>(
-                        std::stoi(s_.substr(pos_, 4), nullptr, 16));
+                    const char *hex = s_.data() + pos_;
+                    unsigned v = 0;
+                    const auto [end, ec] =
+                        std::from_chars(hex, hex + 4, v, 16);
+                    if (ec != std::errc() || end != hex + 4 || v > 0x7f)
+                        fail("\\u escape is not 4 hex digits <= 007F");
+                    out += static_cast<char>(v);
                     pos_ += 4;
                     break;
+                }
                 default: fail("unsupported escape");
                 }
             } else {
@@ -184,19 +193,6 @@ class JsonReader
     const std::string &s_;
     size_t pos_ = 0;
 };
-
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
 
 std::string
 fmtDouble(double v)

@@ -26,6 +26,7 @@ using namespace herosign::batch;
 using batchtest::fixedSeed;
 using batchtest::miniParams;
 using batchtest::patternMsg;
+using batchtest::signReq;
 using sphincs::SphincsPlus;
 
 namespace
@@ -66,7 +67,7 @@ TEST_F(RobustnessTest, VerifyAfterSignPassesCleanTrafficThrough)
     BatchSigner signer(p, kp.sk, smallConfig(true));
     std::vector<std::future<ByteVec>> futs;
     for (unsigned i = 0; i < 6; ++i)
-        futs.push_back(signer.submit(patternMsg(40, i)));
+        futs.push_back(signer.submit(signReq(patternMsg(40, i))));
     for (unsigned i = 0; i < 6; ++i) {
         const ByteVec sig = futs[i].get();
         EXPECT_TRUE(scheme.verify(patternMsg(40, i), sig, kp.pk));
@@ -93,7 +94,7 @@ TEST_F(RobustnessTest, GuardRecoversFromInjectedSimdLaneFaults)
     BatchSigner signer(p, kp.sk, smallConfig(true));
     std::vector<std::future<ByteVec>> futs;
     for (unsigned i = 0; i < 4; ++i)
-        futs.push_back(signer.submit(patternMsg(40, i)));
+        futs.push_back(signer.submit(signReq(patternMsg(40, i))));
     std::vector<ByteVec> sigs;
     for (auto &f : futs)
         sigs.push_back(f.get()); // no SigningFault: scalar redo wins
@@ -124,7 +125,7 @@ TEST_F(RobustnessTest, ExpiredDeadlinesDropWithTypedError)
     late.message = patternMsg(40, 1);
     late.deadline = past;
     auto late_fut = signer.submit(std::move(late));
-    auto ok_fut = signer.submit(patternMsg(40, 2));
+    auto ok_fut = signer.submit(signReq(patternMsg(40, 2)));
 
     EXPECT_THROW(late_fut.get(), DeadlineExceeded);
     EXPECT_TRUE(
@@ -163,12 +164,13 @@ TEST_F(RobustnessTest, WorkerSurvivesEscapedExceptions)
 
     BatchSigner signer(p, kp.sk, smallConfig());
     // Sequential submit + get so each job is its own pass.
-    EXPECT_THROW(signer.submit(patternMsg(40, 0)).get(),
+    EXPECT_THROW(signer.submit(signReq(patternMsg(40, 0))).get(),
                  FaultInjected);
-    EXPECT_THROW(signer.submit(patternMsg(40, 1)).get(),
+    EXPECT_THROW(signer.submit(signReq(patternMsg(40, 1))).get(),
                  FaultInjected);
     EXPECT_TRUE(scheme.verify(patternMsg(40, 2),
-                              signer.submit(patternMsg(40, 2)).get(),
+                              signer.submit(signReq(patternMsg(40, 2)))
+                                  .get(),
                               kp.pk));
     const BatchStats st = signer.drain();
     FaultInjector::instance().disarm();
@@ -185,7 +187,7 @@ TEST_F(RobustnessTest, CloseFailsQueuedJobsAndRejectsNewOnes)
                                                 smallConfig());
     std::vector<std::future<ByteVec>> futs;
     for (unsigned i = 0; i < 16; ++i)
-        futs.push_back(signer->submit(patternMsg(40, i)));
+        futs.push_back(signer->submit(signReq(patternMsg(40, i))));
     signer->close();
 
     // Not one future is stranded: each either carries a signature
@@ -204,7 +206,7 @@ TEST_F(RobustnessTest, CloseFailsQueuedJobsAndRejectsNewOnes)
     }
     EXPECT_EQ(signed_ok + shut_down, 16u);
     EXPECT_EQ(signer->pending(), 0u);
-    EXPECT_THROW(signer->submit(patternMsg(40, 99)),
+    EXPECT_THROW(signer->submit(signReq(patternMsg(40, 99))),
                  ServiceShutdown);
     signer.reset(); // destructor after close() is a no-op join
 }

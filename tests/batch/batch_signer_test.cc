@@ -23,6 +23,8 @@ using batchtest::fixedSeed;
 using batchtest::miniParams;
 using batchtest::patternBatch;
 using batchtest::patternMsg;
+using batchtest::signReq;
+using batchtest::signReqs;
 using sphincs::Params;
 using sphincs::SphincsPlus;
 
@@ -40,7 +42,8 @@ TEST(BatchSigner, ByteMatchesScalarForEveryTableISet)
         BatchSigner signer(*pp, kp.sk, cfg);
 
         auto msgs = patternBatch(3);
-        auto futures = signer.submitMany(msgs);
+        auto reqs = signReqs(msgs);
+        auto futures = signer.submitMany(reqs);
         ASSERT_EQ(futures.size(), msgs.size());
         for (size_t i = 0; i < msgs.size(); ++i) {
             ByteVec got = futures[i].get();
@@ -70,7 +73,8 @@ TEST(BatchSigner, WorkerCountInvariance1v8)
         cfg.workers = 1;
         cfg.shards = 1;
         BatchSigner signer(p, kp.sk, cfg);
-        for (auto &f : signer.submitMany(msgs))
+        auto reqs = signReqs(msgs);
+        for (auto &f : signer.submitMany(reqs))
             sigs1.push_back(hexEncode(f.get()));
     }
     {
@@ -78,7 +82,8 @@ TEST(BatchSigner, WorkerCountInvariance1v8)
         cfg.workers = 8;
         cfg.shards = 4;
         BatchSigner signer(p, kp.sk, cfg);
-        for (auto &f : signer.submitMany(msgs))
+        auto reqs = signReqs(msgs);
+        for (auto &f : signer.submitMany(reqs))
             sigs8.push_back(hexEncode(f.get()));
     }
     EXPECT_EQ(sigs1, sigs8);
@@ -102,13 +107,15 @@ TEST(BatchSigner, CallbacksRunForEveryJob)
 
     std::vector<std::future<ByteVec>> futures;
     for (unsigned i = 0; i < count; ++i) {
-        futures.push_back(signer.submit(
+        futures.push_back(signer.submit(SignRequest{
             patternMsg(20, static_cast<uint8_t>(i)),
+            {},
             [&](uint64_t seq, const ByteVec &sig) {
                 std::lock_guard<std::mutex> lk(m);
                 bySeq.at(seq) = hexEncode(sig);
                 calls.fetch_add(1);
-            }));
+            },
+            {}}));
     }
     auto st = signer.drain();
     EXPECT_EQ(st.jobs, count);
@@ -128,7 +135,7 @@ TEST(BatchSigner, OptRandMatchesScalar)
 
     ByteVec msg = patternMsg(32);
     ByteVec opt(p.n, 0x5a);
-    auto fut = signer.submit(msg, opt);
+    auto fut = signer.submit(signReq(msg, opt));
     EXPECT_EQ(hexEncode(fut.get()),
               hexEncode(scheme.sign(msg, kp.sk, opt)));
 }
@@ -139,7 +146,8 @@ TEST(BatchSigner, WrongLengthOptRandThrowsOnSubmit)
     SphincsPlus scheme(p);
     auto kp = scheme.keygenFromSeed(fixedSeed(p));
     BatchSigner signer(p, kp.sk);
-    EXPECT_THROW(signer.submit(patternMsg(8), ByteVec(p.n + 1, 0)),
+    EXPECT_THROW(
+        signer.submit(signReq(patternMsg(8), ByteVec(p.n + 1, 0))),
                  std::invalid_argument);
 }
 
@@ -167,7 +175,8 @@ TEST(BatchSigner, ZeroMessageSubmitMany)
     auto kp = scheme.keygenFromSeed(fixedSeed(p));
     BatchSigner signer(p, kp.sk);
 
-    auto futures = signer.submitMany(std::vector<ByteVec>{});
+    std::vector<SignRequest> none;
+    auto futures = signer.submitMany(none);
     EXPECT_TRUE(futures.empty());
     EXPECT_EQ(signer.drain().jobs, 0u);
 }
@@ -237,7 +246,8 @@ TEST(BatchSigner, CoalescedGroupsByteMatchScalar)
         cfg.workers = workers;
         cfg.shards = 2;
         BatchSigner signer(p, kp.sk, cfg);
-        auto futures = signer.submitMany(msgs);
+        auto reqs = signReqs(msgs);
+        auto futures = signer.submitMany(reqs);
         for (size_t i = 0; i < msgs.size(); ++i)
             EXPECT_EQ(hexEncode(futures[i].get()), ref[i])
                 << "workers=" << workers << " msg=" << i;
@@ -257,7 +267,8 @@ TEST(BatchSigner, LaneGroupOneDisablesCoalescing)
     cfg.laneGroup = 1;
     BatchSigner signer(p, kp.sk, cfg);
     EXPECT_EQ(signer.laneGroup(), 1u);
-    auto futures = signer.submitMany(patternBatch(8, 16));
+    auto reqs = signReqs(patternBatch(8, 16));
+    auto futures = signer.submitMany(reqs);
     for (auto &f : futures)
         EXPECT_EQ(f.get().size(), p.sigBytes());
     auto st = signer.drain();
@@ -272,7 +283,8 @@ TEST(BatchSigner, DrainSeparatesEpochs)
     auto kp = scheme.keygenFromSeed(fixedSeed(p));
     BatchSigner signer(p, kp.sk);
 
-    auto f1 = signer.submitMany(patternBatch(5, 16));
+    auto r1 = signReqs(patternBatch(5, 16));
+    auto f1 = signer.submitMany(r1);
     auto st1 = signer.drain();
     EXPECT_EQ(st1.jobs, 5u);
     EXPECT_EQ(std::accumulate(st1.perWorkerSigned.begin(),
@@ -283,7 +295,8 @@ TEST(BatchSigner, DrainSeparatesEpochs)
     auto st2 = signer.drain();
     EXPECT_EQ(st2.jobs, 0u);
 
-    auto f3 = signer.submitMany(patternBatch(3, 16));
+    auto r3 = signReqs(patternBatch(3, 16));
+    auto f3 = signer.submitMany(r3);
     auto st3 = signer.drain();
     EXPECT_EQ(st3.jobs, 3u);
 }
@@ -300,7 +313,8 @@ TEST(BatchSigner, DestructorCompletesPendingFutures)
         cfg.workers = 2;
         cfg.shards = 2;
         BatchSigner signer(p, kp.sk, cfg);
-        futures = signer.submitMany(patternBatch(6, 16));
+        auto reqs = signReqs(patternBatch(6, 16));
+        futures = signer.submitMany(reqs);
         // No drain: the destructor must finish the queue.
     }
     for (size_t i = 0; i < futures.size(); ++i) {

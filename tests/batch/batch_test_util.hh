@@ -12,6 +12,7 @@
 #include <numeric>
 #include <vector>
 
+#include "batch/sign_request.hh"
 #include "common/bytes.hh"
 #include "sphincs/params.hh"
 
@@ -61,6 +62,31 @@ patternBatch(unsigned count, size_t len = 40)
     for (unsigned i = 0; i < count; ++i)
         msgs.push_back(patternMsg(len, static_cast<uint8_t>(i)));
     return msgs;
+}
+
+/** A signing request for @p msg (deterministic unless @p opt_rand). */
+inline batch::SignRequest
+signReq(ByteVec msg, ByteVec opt_rand = {})
+{
+    return {std::move(msg), std::move(opt_rand), {}, {}};
+}
+
+/** A verification request for (@p msg, @p sig). */
+inline batch::VerifyRequest
+verifyReq(ByteVec msg, ByteVec sig)
+{
+    return {std::move(msg), std::move(sig), {}};
+}
+
+/** One deterministic signing request per message. */
+inline std::vector<batch::SignRequest>
+signReqs(const std::vector<ByteVec> &msgs)
+{
+    std::vector<batch::SignRequest> reqs;
+    reqs.reserve(msgs.size());
+    for (const ByteVec &m : msgs)
+        reqs.push_back(signReq(m));
+    return reqs;
 }
 
 } // namespace herosign::batchtest

@@ -211,10 +211,13 @@ TEST(BatchSignerStress, ManySmallSubmitsFromMultipleProducers)
             for (unsigned i = 0; i < per_producer; ++i) {
                 ByteVec msg{static_cast<uint8_t>(t),
                             static_cast<uint8_t>(i)};
-                auto fut = signer.submit(
-                    msg, [&](uint64_t, const ByteVec &) {
+                auto fut = signer.submit(SignRequest{
+                    msg,
+                    {},
+                    [&](uint64_t, const ByteVec &) {
                         callbacks.fetch_add(1);
-                    });
+                    },
+                    {}});
                 std::lock_guard<std::mutex> lk(fm);
                 results.emplace_back(std::move(msg), std::move(fut));
             }
@@ -264,7 +267,8 @@ TEST(BatchSignerStress, RepeatedDrainCyclesUnderLoad)
         for (unsigned i = 0; i <= round; ++i)
             msgs.push_back({static_cast<uint8_t>(round),
                             static_cast<uint8_t>(i)});
-        auto futures = signer.submitMany(msgs);
+        auto reqs = batchtest::signReqs(msgs);
+        auto futures = signer.submitMany(reqs);
         for (auto &f : futures)
             EXPECT_EQ(f.get().size(), p.sigBytes());
         auto st = signer.drain();

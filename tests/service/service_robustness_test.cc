@@ -26,6 +26,8 @@ using namespace herosign;
 using batchtest::fixedSeed;
 using batchtest::miniParams;
 using batchtest::patternMsg;
+using batchtest::signReq;
+using batchtest::verifyReq;
 using service::KeyStore;
 using service::ServiceConfig;
 using service::ServiceStats;
@@ -82,7 +84,7 @@ TEST_F(ServiceRobustnessTest, GuardRecoversAndKeepsLedgerClean)
     SignService svc(store, smallConfig(true));
     std::vector<std::future<ByteVec>> futs;
     for (unsigned i = 0; i < 4; ++i)
-        futs.push_back(svc.submitSign("t0", patternMsg(40, i)));
+        futs.push_back(svc.submit("t0", signReq(patternMsg(40, i))));
     std::vector<ByteVec> sigs;
     for (auto &f : futs)
         sigs.push_back(f.get());
@@ -108,7 +110,7 @@ TEST_F(ServiceRobustnessTest, DeadlinesDropOnBothPlanes)
     late.message = patternMsg(40, 1);
     late.deadline = past;
     auto late_fut = sign_svc.submit("t0", std::move(late));
-    auto ok_fut = sign_svc.submitSign("t0", patternMsg(40, 2));
+    auto ok_fut = sign_svc.submit("t0", signReq(patternMsg(40, 2)));
     EXPECT_THROW(late_fut.get(), DeadlineExceeded);
     const ByteVec ok_sig = ok_fut.get();
     EXPECT_TRUE(scheme.verify(patternMsg(40, 2), ok_sig, kp.pk));
@@ -126,7 +128,7 @@ TEST_F(ServiceRobustnessTest, DeadlinesDropOnBothPlanes)
     vlate.deadline = past;
     auto vlate_fut = verify_svc.submit("t0", std::move(vlate));
     auto vok_fut =
-        verify_svc.submitVerify("t0", patternMsg(40, 2), ok_sig);
+        verify_svc.submit("t0", verifyReq(patternMsg(40, 2), ok_sig));
     EXPECT_THROW(vlate_fut.get(), DeadlineExceeded);
     EXPECT_TRUE(vok_fut.get());
     verify_svc.drain();
@@ -161,13 +163,12 @@ TEST_F(ServiceRobustnessTest, WorkersSurviveEscapedExceptions)
     FaultInjector::instance().arm(plan);
 
     SignService svc(store, smallConfig());
-    EXPECT_THROW(svc.submitSign("t0", patternMsg(40, 0)).get(),
+    EXPECT_THROW(svc.submit("t0", signReq(patternMsg(40, 0))).get(),
                  FaultInjected);
     // The supervised worker is still alive and signing.
-    EXPECT_TRUE(scheme.verify(patternMsg(40, 1),
-                              svc.submitSign("t0", patternMsg(40, 1))
-                                  .get(),
-                              kp.pk));
+    EXPECT_TRUE(scheme.verify(
+        patternMsg(40, 1),
+        svc.submit("t0", signReq(patternMsg(40, 1))).get(), kp.pk));
     svc.drain();
     FaultInjector::instance().disarm();
     const ServiceStats st = svc.stats();
@@ -183,7 +184,8 @@ TEST_F(ServiceRobustnessTest, CloseFailsQueuedWorkOnBothPlanes)
         std::make_unique<SignService>(store, smallConfig());
     std::vector<std::future<ByteVec>> futs;
     for (unsigned i = 0; i < 12; ++i)
-        futs.push_back(sign_svc->submitSign("t0", patternMsg(40, i)));
+        futs.push_back(
+            sign_svc->submit("t0", signReq(patternMsg(40, i))));
     sign_svc->close();
     unsigned signed_ok = 0, shut_down = 0;
     for (unsigned i = 0; i < 12; ++i) {
@@ -199,7 +201,7 @@ TEST_F(ServiceRobustnessTest, CloseFailsQueuedWorkOnBothPlanes)
     EXPECT_EQ(sign_svc->pending(), 0u);
     // Every slot came back, whether the job signed or was failed.
     EXPECT_EQ(sign_svc->admission()->pendingTotal(), 0u);
-    EXPECT_THROW(sign_svc->submitSign("t0", patternMsg(40, 99)),
+    EXPECT_THROW(sign_svc->submit("t0", signReq(patternMsg(40, 99))),
                  ServiceShutdown);
     sign_svc.reset();
 
@@ -211,7 +213,7 @@ TEST_F(ServiceRobustnessTest, CloseFailsQueuedWorkOnBothPlanes)
         std::make_unique<VerifyService>(store, smallConfig());
     std::vector<std::future<bool>> vfuts;
     for (unsigned i = 0; i < 12; ++i)
-        vfuts.push_back(verify_svc->submitVerify("t0", msg, sig));
+        vfuts.push_back(verify_svc->submit("t0", verifyReq(msg, sig)));
     verify_svc->close();
     unsigned verdicts = 0, vshut = 0;
     for (auto &f : vfuts) {
@@ -225,6 +227,6 @@ TEST_F(ServiceRobustnessTest, CloseFailsQueuedWorkOnBothPlanes)
     EXPECT_EQ(verdicts + vshut, 12u);
     EXPECT_EQ(verify_svc->pending(), 0u);
     EXPECT_EQ(verify_svc->admission()->pendingTotal(), 0u);
-    EXPECT_THROW(verify_svc->submitVerify("t0", msg, sig),
+    EXPECT_THROW(verify_svc->submit("t0", verifyReq(msg, sig)),
                  ServiceShutdown);
 }

@@ -19,6 +19,7 @@
 using namespace herosign;
 using batchtest::miniParams;
 using batchtest::patternMsg;
+using batchtest::signReq;
 using service::KeyStore;
 using service::ServiceConfig;
 using service::ServiceOverload;
@@ -67,7 +68,7 @@ TEST(SignService, RoutesTenantsByteIdentically)
     for (unsigned i = 0; i < 12; ++i) {
         const std::string id = std::string("tenant-").append(std::to_string(i % 3));
         ByteVec msg = patternMsg(40, static_cast<uint8_t>(i));
-        futs.push_back(svc.submitSign(id, msg));
+        futs.push_back(svc.submit(id, signReq(msg)));
         jobs.emplace_back(id, std::move(msg));
     }
 
@@ -211,8 +212,8 @@ TEST(SignService, HotPathConstructsNoContexts)
     const uint64_t ctx0 = Context::constructionCount();
     std::vector<std::future<ByteVec>> futs;
     for (unsigned i = 0; i < 8; ++i)
-        futs.push_back(svc.submitSign(std::string("tenant-").append(std::to_string(i % 2)),
-                                      patternMsg(32, i)));
+        futs.push_back(svc.submit(std::string("tenant-").append(std::to_string(i % 2)),
+                                  signReq(patternMsg(32, i))));
     for (auto &f : futs)
         f.get();
     EXPECT_EQ(Context::constructionCount() - ctx0, 2u);
@@ -221,8 +222,8 @@ TEST(SignService, HotPathConstructsNoContexts)
     const uint64_t ctx1 = Context::constructionCount();
     futs.clear();
     for (unsigned i = 0; i < 8; ++i)
-        futs.push_back(svc.submitSign(std::string("tenant-").append(std::to_string(i % 2)),
-                                      patternMsg(32, 100 + i)));
+        futs.push_back(svc.submit(std::string("tenant-").append(std::to_string(i % 2)),
+                                  signReq(patternMsg(32, 100 + i))));
     for (auto &f : futs)
         f.get();
     EXPECT_EQ(Context::constructionCount() - ctx1, 0u);
@@ -242,17 +243,17 @@ TEST(SignService, RejectsUnknownAndVerifyOnlyKeys)
     t.store.addVerifyKey("verify-only", vkp.pk);
 
     SignService svc(t.store);
-    EXPECT_THROW(svc.submitSign("nope", patternMsg(8)),
+    EXPECT_THROW(svc.submit("nope", signReq(patternMsg(8))),
                  std::invalid_argument);
-    EXPECT_THROW(svc.submitSign("verify-only", patternMsg(8)),
+    EXPECT_THROW(svc.submit("verify-only", signReq(patternMsg(8))),
                  std::invalid_argument);
-    EXPECT_THROW(
-        svc.submitSign("tenant-0", patternMsg(8), ByteVec(p.n + 1)),
-        std::invalid_argument);
+    EXPECT_THROW(svc.submit("tenant-0",
+                            signReq(patternMsg(8), ByteVec(p.n + 1))),
+                 std::invalid_argument);
 
     // Well-formed opt_rand still works.
-    auto f = svc.submitSign("tenant-0", patternMsg(8),
-                            ByteVec(p.n, 0xa5));
+    auto f = svc.submit("tenant-0",
+                        signReq(patternMsg(8), ByteVec(p.n, 0xa5)));
     EXPECT_EQ(f.get(), scheme.sign(patternMsg(8),
                                    t.keys.at("tenant-0").sk,
                                    ByteVec(p.n, 0xa5)));
@@ -274,7 +275,7 @@ TEST(SignService, AdmissionControlBoundsPending)
     for (unsigned i = 0; i < 64; ++i) {
         try {
             futs.push_back(
-                svc.submitSign("tenant-0", patternMsg(16, i)));
+                svc.submit("tenant-0", signReq(patternMsg(16, i))));
             ++accepted;
         } catch (const ServiceOverload &) {
             ++rejected;
@@ -306,8 +307,8 @@ TEST(SignService, SharedCacheAcrossServices)
     SignService a(t.store, cfg, cache);
     SignService b(t.store, cfg, cache);
 
-    a.submitSign("tenant-0", patternMsg(8)).get();
-    b.submitSign("tenant-0", patternMsg(9)).get();
+    a.submit("tenant-0", signReq(patternMsg(8))).get();
+    b.submit("tenant-0", signReq(patternMsg(9))).get();
 
     auto st = cache->stats();
     EXPECT_EQ(st.misses, 1u); // b reused a's warm context

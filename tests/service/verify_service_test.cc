@@ -15,6 +15,7 @@
 using namespace herosign;
 using batchtest::miniParams;
 using batchtest::patternMsg;
+using batchtest::signReq;
 using service::KeyStore;
 using service::VerifyRequest;
 using service::VerifyService;
@@ -152,7 +153,7 @@ TEST(VerifyService, SharedCacheAndStatsWithSignService)
                              sign_svc.admission());
 
     ByteVec msg = patternMsg(20);
-    ByteVec sig = sign_svc.submitSign("t0", msg).get();
+    ByteVec sig = sign_svc.submit("t0", signReq(msg)).get();
     EXPECT_TRUE(verify_svc.verify("t0", msg, sig));
     sign_svc.drain();
 

@@ -84,23 +84,39 @@ TEST(HostFingerprintTest, CurrentIsPlausible)
 
 TEST(ProfileTest, JsonRoundTripsExactly)
 {
-    const Profile p = sampleProfile();
-    const Profile q = Profile::fromJson(p.toJson());
-    EXPECT_EQ(q.fingerprint, p.fingerprint);
-    EXPECT_EQ(q.config, p.config);
-    EXPECT_DOUBLE_EQ(q.tunedOpsPerSec, p.tunedOpsPerSec);
-    EXPECT_DOUBLE_EQ(q.baselineOpsPerSec, p.baselineOpsPerSec);
-    EXPECT_DOUBLE_EQ(q.tunedP99Ms, p.tunedP99Ms);
-    EXPECT_EQ(q.seed, p.seed);
-    EXPECT_EQ(q.trials, p.trials);
-    // Stable serialization => stable content hash.
-    EXPECT_EQ(q.toJson(), p.toJson());
-    EXPECT_EQ(q.hash(), p.hash());
+    // The second profile's CPU model carries control bytes, quotes
+    // and backslashes: each must be written as a JSON escape the
+    // reader accepts, never raw.
+    Profile odd = sampleProfile();
+    odd.fingerprint.cpuModel = "a\tb\x01c\r\"q\\";
+    for (const Profile &p : {sampleProfile(), odd}) {
+        const std::string json = p.toJson();
+        EXPECT_EQ(json.find('\x01'), std::string::npos);
+        EXPECT_EQ(json.find('\r'), std::string::npos);
+        const Profile q = Profile::fromJson(json);
+        EXPECT_EQ(q.fingerprint, p.fingerprint);
+        EXPECT_EQ(q.config, p.config);
+        EXPECT_DOUBLE_EQ(q.tunedOpsPerSec, p.tunedOpsPerSec);
+        EXPECT_DOUBLE_EQ(q.baselineOpsPerSec, p.baselineOpsPerSec);
+        EXPECT_DOUBLE_EQ(q.tunedP99Ms, p.tunedP99Ms);
+        EXPECT_EQ(q.seed, p.seed);
+        EXPECT_EQ(q.trials, p.trials);
+        // Stable serialization => stable content hash.
+        EXPECT_EQ(q.toJson(), json);
+        EXPECT_EQ(q.hash(), p.hash());
+    }
 }
 
 TEST(ProfileTest, MalformedJsonRejectedWithParseError)
 {
     const std::string good = sampleProfile().toJson();
+    // @p value spliced in as the raw JSON text of the cpu string.
+    const auto with_cpu = [&](const std::string &value) {
+        const std::string key = "\"cpu\": \"";
+        const size_t at = good.find(key) + key.size();
+        return good.substr(0, at) + value +
+               good.substr(good.find('"', at));
+    };
     const std::string bad_docs[] = {
         "",
         "not json at all",
@@ -110,6 +126,9 @@ TEST(ProfileTest, MalformedJsonRejectedWithParseError)
         "{\"version\": 1}",              // missing required sections
         "{\"version\": 1, \"config\": {}}", // missing fingerprint
         good + "trailing garbage",
+        with_cpu("\\uZZZZ"), // non-hex \u escape
+        with_cpu("\\u12zz"), // short \u escape
+        with_cpu("\\u0141"), // non-ASCII \u escape
     };
     for (const std::string &doc : bad_docs) {
         try {
