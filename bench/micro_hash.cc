@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark micro benches for the hash substrate: native vs
- * PTX-flavoured SHA-256, HMAC and MGF1.
+ * PTX-flavoured SHA-256, HMAC and MGF1, the lane engine, and the
+ * seeded single-block thashX shape signing spends its time in.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include "hash/sha256.hh"
 #include "hash/sha256xN.hh"
 #include "hash/sha512.hh"
+#include "sphincs/thashx.hh"
 
 using namespace herosign;
 
@@ -120,6 +122,69 @@ BM_Sha256x8ScalarLanes(benchmark::State &state)
     runSha256Lanes(state, 8, true, false);
 }
 
+/**
+ * One seeded single-block thashX call (the F/PRF shape: adrs_c || n
+ * bytes on the per-key mid-state) over state.range(0) real lanes,
+ * 1..16, under one lane tier. Items are real lanes, so items/s is
+ * the useful compression rate. Reading the three tiers side by side
+ * at each lane count gives the crossover where one padded SIMD call
+ * beats per-lane scalar compressions (the "pad from 2 lanes" rule).
+ */
+void
+runThashXOneBlock(benchmark::State &state, bool force_scalar,
+                  bool no_avx512)
+{
+    using namespace herosign::sphincs;
+    const Params &p = Params::sphincs128f();
+    Rng rng(4);
+    const ByteVec pk_seed = rng.bytes(p.n);
+    const ByteVec sk_seed = rng.bytes(p.n);
+    const Context ctx(p, pk_seed, sk_seed);
+    const unsigned count = static_cast<unsigned>(state.range(0));
+
+    Address adrs[maxHashLanes];
+    uint8_t bufs[maxHashLanes][maxN] = {};
+    uint8_t *outs[maxHashLanes];
+    const uint8_t *ins[maxHashLanes];
+    for (unsigned l = 0; l < count; ++l) {
+        adrs[l].setType(AddrType::ForsTree);
+        adrs[l].setTreeIndex(l);
+        const ByteVec in = rng.bytes(p.n);
+        std::memcpy(bufs[l], in.data(), p.n);
+        outs[l] = bufs[l];
+        ins[l] = bufs[l];
+    }
+
+    sha256LanesForceScalar(force_scalar);
+    sha256LanesDisableAvx512(no_avx512);
+    for (auto _ : state) {
+        thashX(outs, ctx, adrs, ins, p.n, count);
+        benchmark::DoNotOptimize(bufs[0]);
+        benchmark::ClobberMemory();
+    }
+    sha256LanesForceScalar(false);
+    sha256LanesDisableAvx512(false);
+    state.SetItemsProcessed(state.iterations() * count);
+}
+
+void
+BM_ThashXOneBlockScalar(benchmark::State &state)
+{
+    runThashXOneBlock(state, true, false);
+}
+
+void
+BM_ThashXOneBlockX8(benchmark::State &state)
+{
+    runThashXOneBlock(state, false, true);
+}
+
+void
+BM_ThashXOneBlockX16(benchmark::State &state)
+{
+    runThashXOneBlock(state, false, false);
+}
+
 void
 BM_Mgf1(benchmark::State &state)
 {
@@ -139,6 +204,9 @@ BENCHMARK(BM_Sha256Ptx)->Arg(64)->Arg(576)->Arg(4096);
 BENCHMARK(BM_Sha256x16)->Arg(64)->Arg(576)->Arg(4096);
 BENCHMARK(BM_Sha256x8)->Arg(64)->Arg(576)->Arg(4096);
 BENCHMARK(BM_Sha256x8ScalarLanes)->Arg(64)->Arg(576)->Arg(4096);
+BENCHMARK(BM_ThashXOneBlockScalar)->DenseRange(1, 16);
+BENCHMARK(BM_ThashXOneBlockX8)->DenseRange(1, 16);
+BENCHMARK(BM_ThashXOneBlockX16)->DenseRange(1, 16);
 BENCHMARK(BM_Sha512)->Arg(128)->Arg(4096);
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
 BENCHMARK(BM_Mgf1)->Arg(34)->Arg(49);

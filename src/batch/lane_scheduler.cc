@@ -11,7 +11,6 @@ namespace herosign::batch
 using sphincs::Context;
 using sphincs::ForsLeafReq;
 using sphincs::maxHashLanes;
-using sphincs::maxN;
 using sphincs::SecretKey;
 using sphincs::SignTask;
 using sphincs::TreehashStream;
@@ -20,7 +19,7 @@ using sphincs::WotsLeafReq;
 namespace
 {
 
-/** Leaf positions generated per pooled wave (bounds the slab). */
+/** WOTS leaf positions per pooled wave (bounds the request buffer). */
 constexpr uint32_t posChunk = maxHashLanes;
 
 } // namespace
@@ -46,41 +45,22 @@ LaneScheduler::run(SignTask *const tasks[], unsigned count)
                 "(one key and parameter set)");
     }
     const sphincs::Params &p = ctx.params();
-    const unsigned n = p.n;
 
     TreehashStream *streams[maxHashLanes];
     const uint8_t *leaf_ptrs[maxHashLanes];
 
     // --- FORS: tree i of every task advances together -------------
-    // Leaf generation pools count * posChunk PRF+F calls per wave;
-    // the absorb cascades pool the same-shape combines group-wide.
-    const uint32_t t = p.forsLeaves();
-    uint8_t slab[posChunk * maxHashLanes * maxN];
-    ForsLeafReq freqs[posChunk * maxHashLanes];
+    // One lockstep pass per tree index, the same pass forsSign() runs
+    // over the trees of one signature: pooled leaf waves, then the
+    // same-shape combines pooled group-wide.
+    ForsLeafReq first[maxHashLanes];
     for (unsigned i = 0; i < p.forsTrees; ++i) {
         for (unsigned g = 0; g < count; ++g) {
             tasks[g]->beginForsTree(i);
             streams[g] = &tasks[g]->treeStream();
+            first[g] = tasks[g]->forsFirstLeaf();
         }
-        for (uint32_t p0 = 0; p0 < t; p0 += posChunk) {
-            const uint32_t pc = std::min<uint32_t>(posChunk, t - p0);
-            unsigned nr = 0;
-            for (uint32_t q = 0; q < pc; ++q)
-                for (unsigned g = 0; g < count; ++g) {
-                    freqs[nr] = tasks[g]->forsLeafReq(
-                        p0 + q, slab + static_cast<size_t>(nr) * n);
-                    ++nr;
-                }
-            forsLeafBatch(ctx, freqs, nr);
-            for (uint32_t q = 0; q < pc; ++q) {
-                for (unsigned g = 0; g < count; ++g)
-                    leaf_ptrs[g] =
-                        slab +
-                        static_cast<size_t>(q * count + g) * n;
-                TreehashStream::absorbLockstep(streams, leaf_ptrs,
-                                               count);
-            }
-        }
+        sphincs::forsTreesLockstep(ctx, streams, first, count);
         for (unsigned g = 0; g < count; ++g)
             tasks[g]->endForsTree();
     }

@@ -50,8 +50,9 @@ class LaneScheduler
 
     /**
      * Run @p count tasks (1..maxGroup) to completion in lockstep:
-     * FORS tree by tree, then layer by layer, every hash pooled
-     * across the group. All tasks must share one Context object.
+     * FORS tree by tree (one forsTreesLockstep() pass per tree index,
+     * the pass forsSign() runs within one signature), then layer by
+     * layer, every hash pooled across the group. All tasks must share one Context object.
      * @throws std::invalid_argument on a mixed group
      */
     static void run(sphincs::SignTask *const tasks[], unsigned count);

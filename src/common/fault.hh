@@ -24,10 +24,11 @@
  *   clause  := 'seed=' u64
  *            | point (':' key '=' u64)*
  *   point   := 'hash-compress'   bit-flip one lane's chaining state
- *            | 'simd-lane'       corrupt one SIMD-produced digest in a
- *                                fused one-block hash batch (never
- *                                fires on the scalar tail, so a
- *                                forced-scalar path is immune)
+ *            | 'simd-lane'       corrupt one real SIMD-produced digest
+ *                                in a fused one-block hash batch,
+ *                                padded tails included (never a ghost
+ *                                lane, never fires on a scalar lane,
+ *                                so a forced-scalar path is immune)
  *            | 'worker-throw'    throw FaultInjected from a worker
  *                                loop, outside the per-job handlers
  *            | 'queue-stall'     sleep a worker before it processes a

@@ -235,8 +235,9 @@ Sha256Lanes::Sha256Lanes(unsigned width, Sha256Variant variant)
     const LaneDispatch d = laneDispatch();
     avx2_ = variant == Sha256Variant::Native && d.avx2;
     avx512_ = variant == Sha256Variant::Native && d.avx512;
-    for (size_t l = 0; l < width_; ++l)
-        h_[l] = initState;
+    // Spare states past width_ are ghost-lane scratch for padded calls.
+    for (auto &h : h_)
+        h = initState;
 }
 
 Sha256Lanes::Sha256Lanes(unsigned width, const Sha256State &state,
@@ -251,24 +252,28 @@ Sha256Lanes::Sha256Lanes(unsigned width, const Sha256State &state,
     const LaneDispatch d = laneDispatch();
     avx2_ = variant == Sha256Variant::Native && d.avx2;
     avx512_ = variant == Sha256Variant::Native && d.avx512;
-    for (size_t l = 0; l < width_; ++l)
-        h_[l] = state.h;
+    for (auto &h : h_)
+        h = state.h;
 }
 
 void
 Sha256Lanes::compressAll(const uint8_t *const blocks[])
 {
-    // Greedy widest-first: 16-wide AVX-512 chunks, then 8-wide AVX2
-    // chunks, then a scalar tail. Any width works on any backend and
-    // every lane's digest is bit-identical regardless of the split.
+    // Full SIMD calls, then one padded call for a ragged tail of two
+    // or more lanes, then a scalar lone last lane. Ghost lanes
+    // compress lane 0's block into the spare states past width_,
+    // which nothing reads. Every real lane's digest is bit-identical
+    // regardless of the split.
+    const uint8_t *padded[maxLanes];
+    for (unsigned l = 0; l < maxLanes; ++l)
+        padded[l] = l < width_ ? blocks[l] : blocks[0];
     unsigned l = 0;
-    while (avx512_ && width_ - l >= 16) {
-        sha256Compress16Avx512(h_ + l, blocks + l);
-        l += 16;
-    }
-    while (avx2_ && width_ - l >= 8) {
-        sha256Compress8Avx2(h_ + l, blocks + l);
-        l += 8;
+    while (const unsigned w = laneCallWidth(avx2_, avx512_, width_ - l)) {
+        if (w == 16)
+            sha256Compress16Avx512(h_ + l, padded + l);
+        else
+            sha256Compress8Avx2(h_ + l, padded + l);
+        l = std::min(width_, l + w);
     }
     for (; l < width_; ++l) {
         if (variant_ == Sha256Variant::Native)
@@ -276,8 +281,9 @@ Sha256Lanes::compressAll(const uint8_t *const blocks[])
         else
             sha256CompressPtx(h_[l], blocks[l]);
     }
-    // One W-wide step does the work of W scalar compressions; keep
-    // the global accounting (tests, cost-model calibration) in sync.
+    // One step over W real lanes does the work of W scalar
+    // compressions, ghost lanes excluded; keep the global accounting
+    // (tests, cost-model calibration) in sync.
     Sha256::addCompressions(width_);
 
     // Fault seam: a hash-compress rule flips one bit of one lane's

@@ -36,9 +36,12 @@
  *
  * All lanes always absorb the same number of bytes per call — exactly
  * the shape of SPHINCS+ tweakable-hash batches, where every lane
- * hashes adrs_c || input of a common length. Each W-wide compression
- * charges W to Sha256::compressionCount(), so hash accounting matches
- * W scalar calls exactly at every width.
+ * hashes adrs_c || input of a common length. A batch whose lane count
+ * is not a multiple of the SIMD width ends in a padded tail: the last
+ * two or more real lanes run as one 8- or 16-wide call whose ghost
+ * lanes are discarded (laneCallWidth). A compression step over W real
+ * lanes charges W to Sha256::compressionCount() whatever the padding,
+ * so hash accounting matches W scalar calls exactly at every width.
  */
 
 #ifndef HEROSIGN_HASH_SHA256XN_HH
@@ -170,12 +173,36 @@ class ScopedScalarLanes
 };
 
 /**
+ * Width of the next SIMD call over @p remaining real lanes of one
+ * batch: 16 or 8, or 0 when the lanes run scalar (fewer than two
+ * left, or no SIMD tier active). A ragged tail of two or more lanes
+ * runs as one padded call on the narrowest active tier that covers
+ * it: its ghost lanes hash a copy of a real lane's block and their
+ * output is discarded. One x8 or x16 call costs about as much as two
+ * scalar compressions (bench/micro_hash, BM_ThashXOneBlock* rows),
+ * hence the two-lane threshold.
+ * @param avx2 8-wide kernels usable
+ * @param avx512 16-wide kernels usable
+ */
+inline unsigned
+laneCallWidth(bool avx2, bool avx512, unsigned remaining)
+{
+    if (remaining < 2)
+        return 0;
+    if (avx512 && (remaining > 8 || !avx2))
+        return 16;
+    return avx2 ? 8 : 0;
+}
+
+/**
  * Incremental lane-parallel SHA-256 hasher over a fixed number of
  * lanes (uniform lane lengths). The width is a runtime constructor
- * argument, 1..maxSha256Lanes; compression steps greedily use the
- * widest active kernels (16-wide AVX-512 chunks, then 8-wide AVX2
- * chunks, then a scalar loop), so any width is valid on any backend
- * and digests are bit-identical everywhere.
+ * argument, 1..maxSha256Lanes; each compression step runs full
+ * SIMD calls, then a padded call for a ragged tail of two or more
+ * lanes, then a scalar compression for a lone last lane
+ * (laneCallWidth), so any width is valid on any backend and digests
+ * are bit-identical everywhere. Only real lanes are charged to
+ * Sha256::compressionCount().
  */
 class Sha256Lanes
 {

@@ -90,20 +90,61 @@ forsLeafBatch(const Context &ctx, const ForsLeafReq reqs[],
 }
 
 void
-forsGenLeavesXN(uint8_t *out, const Context &ctx, const Address &fors_adrs,
-                uint32_t idx0, unsigned count)
+forsSelectedSecrets(uint8_t *sig, const Context &ctx,
+                    const Address &fors_adrs, const uint32_t indices[])
+{
+    const Params &p = ctx.params();
+    const uint32_t t = p.forsLeaves();
+    const size_t stride = static_cast<size_t>(p.forsHeight + 1) * p.n;
+    Address sk_base = fors_adrs;
+    sk_base.setType(AddrType::ForsPrf);
+    sk_base.setKeypair(fors_adrs.keypair());
+    sk_base.setTreeHeight(0);
+    Address adrs[maxHashLanes];
+    uint8_t *outs[maxHashLanes];
+    for (unsigned g = 0; g < p.forsTrees; g += maxHashLanes) {
+        const unsigned m = std::min(maxHashLanes, p.forsTrees - g);
+        for (unsigned j = 0; j < m; ++j) {
+            adrs[j] = sk_base;
+            adrs[j].setTreeIndex(indices[g + j] + (g + j) * t);
+            outs[j] = sig + (g + j) * stride;
+        }
+        prfAddrX(outs, ctx, adrs, m);
+    }
+}
+
+void
+forsTreesLockstep(const Context &ctx, TreehashStream *const streams[],
+                  const ForsLeafReq first[], unsigned count)
 {
     if (count == 0 || count > maxHashLanes)
         throw std::invalid_argument(
-            "forsGenLeavesXN: count must be 1..16");
+            "forsTreesLockstep: count must be 1..16");
     const unsigned n = ctx.params().n;
-    ForsLeafReq reqs[maxHashLanes];
-    for (unsigned j = 0; j < count; ++j) {
-        reqs[j].adrs = fors_adrs;
-        reqs[j].idx = idx0 + j;
-        reqs[j].out = out + static_cast<size_t>(j) * n;
+    const uint32_t t = ctx.params().forsLeaves();
+
+    // Leaf positions per wave: bounds the slab at 16 x 16 leaves.
+    constexpr uint32_t posChunk = maxHashLanes;
+    uint8_t slab[posChunk * maxHashLanes * maxN];
+    ForsLeafReq reqs[posChunk * maxHashLanes];
+    const uint8_t *leaves[maxHashLanes];
+    for (uint32_t p0 = 0; p0 < t; p0 += posChunk) {
+        const uint32_t pc = std::min(posChunk, t - p0);
+        unsigned nr = 0;
+        for (uint32_t q = 0; q < pc; ++q)
+            for (unsigned l = 0; l < count; ++l) {
+                reqs[nr].adrs = first[l].adrs;
+                reqs[nr].idx = first[l].idx + p0 + q;
+                reqs[nr].out = slab + static_cast<size_t>(nr) * n;
+                ++nr;
+            }
+        forsLeafBatch(ctx, reqs, nr);
+        for (uint32_t q = 0; q < pc; ++q) {
+            for (unsigned l = 0; l < count; ++l)
+                leaves[l] = slab + static_cast<size_t>(q * count + l) * n;
+            TreehashStream::absorbLockstep(streams, leaves, count);
+        }
     }
-    forsLeafBatch(ctx, reqs, count);
 }
 
 void
@@ -113,52 +154,36 @@ forsSign(uint8_t *sig, uint8_t *pk_out, const uint8_t *mhash,
     const Params &p = ctx.params();
     const unsigned n = p.n;
     const uint32_t t = p.forsLeaves();
+    const size_t stride = static_cast<size_t>(p.forsHeight + 1) * n;
 
     uint32_t indices[64];
     messageToIndices(indices, p, mhash);
+    forsSelectedSecrets(sig, ctx, fors_adrs, indices);
 
-    // Selected secret values for all k trees, one dispatched lane
-    // width per PRF batch. The tree-i value lands at the head of its
-    // signature block.
-    {
-        Address sk_base = fors_adrs;
-        sk_base.setType(AddrType::ForsPrf);
-        sk_base.setKeypair(fors_adrs.keypair());
-        const size_t sig_stride =
-            static_cast<size_t>(p.forsHeight + 1) * n;
-        const unsigned width = hashLaneWidth();
-        Address adrs[maxHashLanes];
-        uint8_t *outs[maxHashLanes];
-        for (unsigned g = 0; g < p.forsTrees; g += width) {
-            const unsigned m = std::min(width, p.forsTrees - g);
-            for (unsigned j = 0; j < m; ++j) {
-                adrs[j] = sk_base;
-                adrs[j].setTreeHeight(0);
-                adrs[j].setTreeIndex(indices[g + j] + (g + j) * t);
-                outs[j] = sig + (g + j) * sig_stride;
-            }
-            prfAddrX(outs, ctx, adrs, m);
-        }
-    }
-
+    // Tree Fusion: the k trees are independent and equal in shape, so
+    // groups of up to maxHashLanes build in lockstep and every node
+    // combine is one lane batch across the group instead of a scalar
+    // call per tree. Each auth path lands after its secret value.
+    Address tree_adrs = fors_adrs;
+    tree_adrs.setType(AddrType::ForsTree);
+    tree_adrs.setKeypair(fors_adrs.keypair());
+    TreehashStream streams[maxHashLanes];
+    TreehashStream *group[maxHashLanes];
+    ForsLeafReq first[maxHashLanes];
     uint8_t roots[64 * maxN];
-    for (unsigned i = 0; i < p.forsTrees; ++i) {
-        const uint32_t idx_offset = i * t;
-        sig += n; // selected secret value, written above
-
-        // Merkle tree over this subset, rooted at roots[i]; leaves
-        // generated one lane batch at a time.
-        Address tree_adrs = fors_adrs;
-        tree_adrs.setType(AddrType::ForsTree);
-        tree_adrs.setKeypair(fors_adrs.keypair());
-        auto gen_leaves = [&](uint8_t *out, uint32_t leaf_start,
-                              uint32_t count) {
-            forsGenLeavesXN(out, ctx, tree_adrs, leaf_start + idx_offset,
-                            count);
-        };
-        treehash(roots + i * n, sig, ctx, indices[i], idx_offset,
-                 p.forsHeight, gen_leaves, tree_adrs);
-        sig += p.forsHeight * n;
+    for (unsigned g = 0; g < p.forsTrees; g += maxHashLanes) {
+        const unsigned m = std::min(maxHashLanes, p.forsTrees - g);
+        for (unsigned j = 0; j < m; ++j) {
+            const unsigned i = g + j;
+            streams[j].begin(ctx, p.forsHeight, indices[i], i * t,
+                             sig + i * stride + n, tree_adrs);
+            group[j] = &streams[j];
+            first[j].adrs = tree_adrs;
+            first[j].idx = i * t;
+        }
+        forsTreesLockstep(ctx, group, first, m);
+        for (unsigned j = 0; j < m; ++j)
+            std::memcpy(roots + (g + j) * n, streams[j].root(), n);
     }
 
     Address pk_adrs = fors_adrs;

@@ -3,7 +3,7 @@
  * FORS — Forest of Random Subsets (spec §5). k Merkle trees of height
  * a; the message digest selects one leaf per tree. Each tree is
  * independent, the property HERO-Sign's FORS Fusion builds on
- * (paper §III-B).
+ * (paper §III-B): forsSign() builds the trees in lockstep groups.
  */
 
 #ifndef HEROSIGN_SPHINCS_FORS_HH
@@ -12,6 +12,7 @@
 #include "common/bytes.hh"
 #include "sphincs/address.hh"
 #include "sphincs/context.hh"
+#include "sphincs/merkle.hh"
 
 namespace herosign::sphincs
 {
@@ -41,17 +42,6 @@ void forsGenLeaf(uint8_t *out, const Context &ctx,
                  const Address &fors_adrs, uint32_t idx);
 
 /**
- * Compute @p count consecutive FORS leaves (absolute indices idx0 ..
- * idx0 + count - 1, count <= maxHashLanes) into @p out, running the
- * PRF and F calls across hash-lane batches of the dispatched width.
- * Byte-identical to count forsGenLeaf calls at every width.
- * @param out count * n bytes
- */
-void forsGenLeavesXN(uint8_t *out, const Context &ctx,
-                     const Address &fors_adrs, uint32_t idx0,
-                     unsigned count);
-
-/**
  * One FORS leaf of pooled hash work: leaf @p idx (absolute index,
  * tree * t + position) of the forest addressed by @p adrs, written to
  * @p out. Requests in one forsLeafBatch() call may come from
@@ -76,8 +66,46 @@ void forsLeafBatch(const Context &ctx, const ForsLeafReq reqs[],
                    unsigned count);
 
 /**
+ * Derive the k selected secret values — tree i's leaf @p indices[i] —
+ * into a FORS signature: tree i's value lands at
+ * sig + i * (a + 1) * n, the head of its signature block. The PRF
+ * calls run maxHashLanes per lane batch.
+ * @param indices k leaf indices from messageToIndices()
+ * @param fors_adrs ForsTree-typed address with layer/tree/keypair set
+ */
+void forsSelectedSecrets(uint8_t *sig, const Context &ctx,
+                         const Address &fors_adrs,
+                         const uint32_t indices[]);
+
+/**
+ * Build @p count FORS trees in lockstep: the lockstep pass behind
+ * both forsSign()'s within-signature Tree Fusion and the
+ * cross-signature LaneScheduler. Leaves are generated in waves of
+ * maxHashLanes positions across all count trees (one pooled
+ * forsLeafBatch() per wave), then every position is absorbed into
+ * the count streams with one TreehashStream::absorbLockstep(), so
+ * each node combine runs as one lane batch across the trees.
+ * Byte-identical to building each tree alone.
+ * @param streams count streams begun on trees of height a with no
+ *        leaf absorbed yet; each is done() on return
+ * @param first count descriptors of each tree's leaf 0 (its address
+ *        and absolute index; out is ignored). Leaf q of stream l is
+ *        absolute index first[l].idx + q under first[l].adrs.
+ * @param count 1..maxHashLanes trees
+ */
+void forsTreesLockstep(const Context &ctx, TreehashStream *const streams[],
+                       const ForsLeafReq first[], unsigned count);
+
+/**
  * FORS signature: for each of the k trees, the selected secret value
- * followed by its authentication path.
+ * followed by its authentication path. The k independent trees build
+ * as fused groups of up to maxHashLanes (paper §III-B Tree Fusion)
+ * through forsTreesLockstep(), so the narrowing upper levels of one
+ * signature's forest still fill hash lanes. The k mod 16 leftover
+ * trees form a last, narrower group whose batches run padded (a lone
+ * leftover tree combines scalar). Byte-identical, with an equal
+ * compression count, to building the trees one at a time with
+ * treehash() over forsGenLeaf() leaves.
  * @param sig out, forsSigBytes()
  * @param pk_out out, n bytes: the FORS public key (root compression),
  *        which is the message signed by the bottom hypertree layer

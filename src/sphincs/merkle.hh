@@ -155,7 +155,12 @@ class TreehashStream
  * tree and the authentication path for @p leaf_idx. The leaf layer is
  * produced hashLaneWidth() leaves per callback so independent leaves
  * fill the dispatched hash lanes; the node combining above it is
- * inherently serial.
+ * serial within one tree (each combine needs the one below it), so
+ * it runs scalar here. Independent same-shape trees lift that limit
+ * by climbing in lockstep through TreehashStream::absorbLockstep():
+ * forsSign() fuses the k FORS trees of one signature that way, and
+ * LaneScheduler fuses trees across signatures. The hypertree layers
+ * of one signature stay on this one-tree path.
  *
  * @param root out, n bytes
  * @param auth_path out, height * n bytes (may be nullptr to skip)

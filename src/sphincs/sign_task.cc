@@ -1,10 +1,8 @@
 #include "sphincs/sign_task.hh"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "sphincs/thash.hh"
-#include "sphincs/thashx.hh"
 
 namespace herosign::sphincs
 {
@@ -68,28 +66,7 @@ SignTask::SignTask(const Context &ctx, const SecretKey &sk, ByteSpan msg,
     forsBase_.setKeypair(layerLeaf_[0]);
     messageToIndices(forsIndices_, p, forsMsg_.data());
 
-    // Selected secret values for all k trees into the signature
-    // blocks, one dispatched lane width per PRF batch — the same
-    // batching forsSign() performs.
-    {
-        Address sk_base = forsBase_;
-        sk_base.setType(AddrType::ForsPrf);
-        sk_base.setKeypair(layerLeaf_[0]);
-        const uint32_t t = p.forsLeaves();
-        const unsigned width = hashLaneWidth();
-        Address adrs[maxHashLanes];
-        uint8_t *outs[maxHashLanes];
-        for (unsigned g = 0; g < p.forsTrees; g += width) {
-            const unsigned m = std::min(width, p.forsTrees - g);
-            for (unsigned j = 0; j < m; ++j) {
-                adrs[j] = sk_base;
-                adrs[j].setTreeHeight(0);
-                adrs[j].setTreeIndex(forsIndices_[g + j] + (g + j) * t);
-                outs[j] = forsSigBlock(g + j);
-            }
-            prfAddrX(outs, ctx, adrs, m);
-        }
-    }
+    forsSelectedSecrets(forsSigBlock(0), ctx, forsBase_, forsIndices_);
 
     layerLeaves_.resize(static_cast<size_t>(p.treeLeaves()) * n);
 }
@@ -123,13 +100,11 @@ SignTask::beginForsTree(unsigned tree)
 }
 
 ForsLeafReq
-SignTask::forsLeafReq(uint32_t pos, uint8_t *out) const
+SignTask::forsFirstLeaf() const
 {
-    const Params &p = ctx_->params();
     ForsLeafReq req;
     req.adrs = forsBase_;
-    req.idx = curTree_ * p.forsLeaves() + pos;
-    req.out = out;
+    req.idx = curTree_ * ctx_->params().forsLeaves();
     return req;
 }
 

@@ -27,9 +27,9 @@
  *
  * Phase protocol (driven by the scheduler, same order as sign()):
  *   ctor                      R, digest, indices, FORS secret values
- *   for each FORS tree i:     beginForsTree(i) -> feed forsLeafReq()
- *                             leaves through treeStream() ->
- *                             endForsTree()
+ *   for each FORS tree i:     beginForsTree(i) -> hand treeStream()
+ *                             and forsFirstLeaf() to
+ *                             forsTreesLockstep() -> endForsTree()
  *   finishFors()              T_k root compression
  *   for each layer l:         beginLayer(l) -> feed wotsLeafReq()
  *                             leaves through treeStream() ->
@@ -83,10 +83,10 @@ class SignTask
     void beginForsTree(unsigned tree);
 
     /**
-     * Descriptor for leaf @p pos (0..2^a-1) of the current FORS tree,
-     * to be produced into @p out (n bytes) by forsLeafBatch().
+     * Descriptor of the current FORS tree's leaf 0 (its address and
+     * absolute index; out unset), the form forsTreesLockstep() takes.
      */
-    ForsLeafReq forsLeafReq(uint32_t pos, uint8_t *out) const;
+    ForsLeafReq forsFirstLeaf() const;
 
     /** Collect the current tree's root; stream must be done(). */
     void endForsTree();

@@ -1,5 +1,6 @@
 #include "sphincs/thashx.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/fault.hh"
@@ -23,9 +24,10 @@ constexpr size_t oneBlockMax = Sha256::blockSize - 9;
  * lane. Building the padded blocks directly and running the widest
  * compressions available skips the incremental engine entirely; the
  * SIMD kernels additionally broadcast the shared mid-state instead of
- * transposing per-lane copies of it. The batch is consumed greedily:
- * 16-wide AVX-512 chunks, then 8-wide AVX2 chunks, then scalar lanes
- * — digests and compression counts are identical for every split.
+ * transposing per-lane copies of it. The batch is consumed in SIMD
+ * calls while two or more real lanes remain (laneCallWidth); a lone
+ * last lane runs scalar. Digests and compression counts are
+ * identical for every split.
  */
 void
 thashXOneBlock(uint8_t *const out[], const Context &ctx,
@@ -54,24 +56,29 @@ thashXOneBlock(uint8_t *const out[], const Context &ctx,
 
     const LaneDispatch d = laneDispatch();
     const bool native = ctx.variant() == Sha256Variant::Native;
+    // Ghost lanes of a padded call hash lane 0's block into the
+    // digest rows past count, which nothing reads back.
+    for (unsigned l = count; l < maxHashLanes; ++l)
+        bptrs[l] = bptrs[0];
     uint8_t digests[maxHashLanes][Sha256::digestSize];
     uint8_t *dptrs[maxHashLanes];
-    for (unsigned l = 0; l < count; ++l)
+    for (unsigned l = 0; l < maxHashLanes; ++l)
         dptrs[l] = digests[l];
 
     unsigned l = 0;
-    while (native && d.avx512 && count - l >= 16) {
-        sha256Final16SeededAvx512(mid.h, bptrs + l, dptrs + l);
-        l += 16;
+    while (const unsigned w =
+               native ? laneCallWidth(d.avx2, d.avx512, count - l) : 0) {
+        if (w == 16)
+            sha256Final16SeededAvx512(mid.h, bptrs + l, dptrs + l);
+        else
+            sha256Final8SeededAvx2(mid.h, bptrs + l, dptrs + l);
+        l = std::min(count, l + w);
     }
-    while (native && d.avx2 && count - l >= 8) {
-        sha256Final8SeededAvx2(mid.h, bptrs + l, dptrs + l);
-        l += 8;
-    }
-    // Fault seam: a simd-lane rule corrupts one digest produced by
-    // the SIMD kernels above — never a scalar-tail lane, so a
-    // forced-scalar (or quarantined) path is immune by construction
-    // and the verify-after-sign guard's re-sign converges.
+    // Fault seam: a simd-lane rule corrupts one real digest produced
+    // by the SIMD kernels above — never a ghost lane and never a
+    // scalar lane, so a forced-scalar (or quarantined) path is immune
+    // by construction and the verify-after-sign guard's re-sign
+    // converges.
     if (l > 0 && FaultInjector::fire(FaultPoint::SimdLane)) {
         FaultInjector &inj = FaultInjector::instance();
         const unsigned victim =

@@ -8,13 +8,16 @@
  * shape, so they fill SIMD lanes exactly.
  *
  * Every function takes a lane count `count <= maxHashLanes` and is
- * width-agnostic: the batch is processed greedily with the widest
- * active kernels (16-wide AVX-512 chunks, then 8-wide AVX2 chunks,
- * then scalar lanes), so digests AND Sha256::compressionCount()
- * accounting stay bit-for-bit identical to the scalar path for any
- * count on any backend. Callers that choose their own batch size
- * should fill hashLaneWidth() lanes per pass — the width the
- * dispatched backend actually executes.
+ * width-agnostic: the batch runs as full SIMD calls of the dispatched
+ * width, then a padded tail — the last two or more lanes as one x8 or
+ * x16 call whose ghost lanes are discarded (laneCallWidth in
+ * hash/sha256xN.hh) — and a lone last lane runs scalar. Digests AND
+ * Sha256::compressionCount() accounting (real lanes only) stay
+ * bit-for-bit identical to the scalar path for any count on any
+ * backend. Forced-scalar dispatch (ScopedScalarLanes, quarantine)
+ * runs every lane scalar, padding included. Callers that choose their
+ * own batch size should still fill hashLaneWidth() lanes per pass: a
+ * padded call costs a full one.
  */
 
 #ifndef HEROSIGN_SPHINCS_THASHX_HH

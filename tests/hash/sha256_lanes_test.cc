@@ -2,8 +2,8 @@
  * @file
  * Width-generic SHA-256 lane engine tests: lane equivalence against
  * the scalar hasher at widths 8 and 16 (one-shot, mid-state resume,
- * ragged final-block lengths), forced-fallback behaviour, compression
- * accounting, the fused seeded single-block kernels of both SIMD
+ * ragged final-block lengths), padded ragged tails at every width and
+ * tier, forced-fallback behaviour, compression accounting, the fused seeded single-block kernels of both SIMD
  * backends, and the unified laneDispatch() override precedence.
  */
 
@@ -157,25 +157,48 @@ TEST(Sha256Lanes, RejectsUnalignedMidStateAndBadWidths)
 
 TEST(Sha256Lanes, CompressionCountMatchesScalarCallsAtEveryWidth)
 {
-    Rng rng(21);
-    for (unsigned width : {5u, 8u, 16u}) {
-        for (size_t len : {16u, 64u, 200u}) {
-            std::vector<ByteVec> msgs(width);
-            for (auto &m : msgs)
-                m = rng.bytes(len);
-
+    // Every width 1..16 at every tier: the lone scalar lane, padded
+    // x8 and x16 tails, and full calls followed by a padded tail. One-
+    // block, two-block, four-block and long (T_len-sized) messages.
+    // Digests match the scalar hasher and only real lanes are
+    // charged.
+    struct Tier
+    {
+        const char *name;
+        bool scalar;
+        bool noAvx512;
+    };
+    const Tier tiers[] = {{"forced-scalar", true, false},
+                          {"width-8", false, true},
+                          {"widest", false, false}};
+    Rng rng(23);
+    for (const Tier &tier : tiers) {
+        sha256LanesForceScalar(tier.scalar);
+        sha256LanesDisableAvx512(tier.noAvx512);
+        for (size_t len : {16u, 64u, 200u, 2166u}) {
             Sha256::resetCompressionCount();
-            for (unsigned l = 0; l < width; ++l)
-                (void)Sha256::digest(msgs[l]);
-            const uint64_t scalar_count = Sha256::compressionCount();
-
-            Sha256::resetCompressionCount();
-            uint8_t digests[Sha256Lanes::maxLanes][32];
-            digestLanes(width, msgs, digests);
-            EXPECT_EQ(Sha256::compressionCount(), scalar_count)
-                << "width " << width << " len " << len;
+            (void)Sha256::digest(rng.bytes(len));
+            const uint64_t blocks = Sha256::compressionCount();
+            for (unsigned width = 1; width <= Sha256Lanes::maxLanes;
+                 ++width) {
+                std::vector<ByteVec> msgs(width);
+                for (auto &m : msgs)
+                    m = rng.bytes(len);
+                uint8_t digests[Sha256Lanes::maxLanes][32];
+                Sha256::resetCompressionCount();
+                digestLanes(width, msgs, digests);
+                EXPECT_EQ(Sha256::compressionCount(), width * blocks)
+                    << tier.name << " width " << width << " len " << len;
+                for (unsigned l = 0; l < width; ++l)
+                    EXPECT_EQ(hexEncode(ByteSpan(digests[l], 32)),
+                              hexEncode(Sha256::digest(msgs[l])))
+                        << tier.name << " width " << width << " len "
+                        << len << " lane " << l;
+            }
         }
     }
+    sha256LanesForceScalar(false);
+    sha256LanesDisableAvx512(false);
 }
 
 /** Pre-padded single-block lanes for the fused seeded kernels. */

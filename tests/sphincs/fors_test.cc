@@ -1,15 +1,22 @@
 /**
  * @file
- * FORS tests: index extraction, leaf derivation, and the sign →
- * pk-from-sig roundtrip property.
+ * FORS tests: index extraction, leaf derivation, the sign →
+ * pk-from-sig roundtrip property, and Tree Fusion: the fused forsSign
+ * against a per-tree reference at every lane tier.
  */
+
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hex.hh"
 #include "common/random.hh"
+#include "hash/sha256xN.hh"
 #include "sphincs/fors.hh"
+#include "sphincs/merkle.hh"
 #include "sphincs/params.hh"
 #include "sphincs/thash.hh"
+#include "sphincs/thashx.hh"
 
 using namespace herosign;
 using namespace herosign::sphincs;
@@ -169,3 +176,138 @@ INSTANTIATE_TEST_SUITE_P(AllSets, ForsTest,
         std::string name = info.param->name;
         return name.substr(name.find('-') + 1);
     });
+
+namespace
+{
+
+/**
+ * Per-tree reference for forsSign: every tree built alone from the
+ * scalar building blocks — forsSkGen secret values, forsGenLeaf
+ * leaves through the LeafFn treehash overload, and a scalar T_k
+ * thash over the k roots.
+ */
+void
+perTreeForsSign(uint8_t *sig, uint8_t *pk, const uint8_t *mhash,
+                const Context &ctx, const Address &fors_adrs)
+{
+    const Params &p = ctx.params();
+    const unsigned n = p.n;
+    const uint32_t t = p.forsLeaves();
+    uint32_t indices[64];
+    messageToIndices(indices, p, mhash);
+
+    ByteVec roots(static_cast<size_t>(p.forsTrees) * n);
+    for (unsigned i = 0; i < p.forsTrees; ++i) {
+        const uint32_t offset = i * t;
+        forsSkGen(sig, ctx, fors_adrs, indices[i] + offset);
+        sig += n;
+        Address tree_adrs = fors_adrs;
+        tree_adrs.setType(AddrType::ForsTree);
+        tree_adrs.setKeypair(fors_adrs.keypair());
+        treehash(roots.data() + i * n, sig, ctx, indices[i], offset,
+                 p.forsHeight,
+                 LeafFn([&](uint8_t *out, uint32_t idx) {
+                     forsGenLeaf(out, ctx, fors_adrs, idx + offset);
+                 }),
+                 tree_adrs);
+        sig += p.forsHeight * n;
+    }
+    Address pk_adrs = fors_adrs;
+    pk_adrs.setType(AddrType::ForsRoots);
+    pk_adrs.setKeypair(fors_adrs.keypair());
+    thash(pk, ctx, pk_adrs, roots);
+}
+
+/** One lane tier, pinned for a scope and released on exit. */
+struct LaneTier
+{
+    const char *name;
+    bool scalar;
+    bool noAvx512;
+};
+
+constexpr LaneTier laneTiers[] = {
+    {"forced-scalar", true, false},
+    {"width-8", false, true},
+    {"widest", false, false},
+};
+
+struct ScopedTier
+{
+    explicit ScopedTier(const LaneTier &tier)
+    {
+        sha256LanesForceScalar(tier.scalar);
+        sha256LanesDisableAvx512(tier.noAvx512);
+    }
+    ~ScopedTier()
+    {
+        sha256LanesForceScalar(false);
+        sha256LanesDisableAvx512(false);
+    }
+};
+
+/** 128f with k trees: exercises every k mod 16 fusion remainder. */
+Params
+withTrees(unsigned k)
+{
+    Params p = Params::sphincs128f();
+    p.name = "128f-k" + std::to_string(k);
+    p.forsTrees = k;
+    return p;
+}
+
+} // namespace
+
+TEST(ForsFusion, FusedSignMatchesPerTreeReference)
+{
+    std::vector<Params> sets = {Params::sphincs128f(),
+                                Params::sphincs192f(),
+                                Params::sphincs256f()};
+    for (unsigned k : {1u, 3u, 16u, 17u, 33u, 35u})
+        sets.push_back(withTrees(k));
+
+    for (const Params &p : sets) {
+        SCOPED_TRACE(p.name);
+        ASSERT_NO_THROW(p.validate());
+        Rng rng(36 + p.forsTrees);
+        const Context ctx(p, rng.bytes(p.n), rng.bytes(p.n));
+        Address adrs;
+        adrs.setLayer(0);
+        adrs.setTree(91);
+        adrs.setType(AddrType::ForsTree);
+        adrs.setKeypair(5);
+        const ByteVec mhash = rng.bytes(p.forsMsgBytes());
+
+        ByteVec ref_sig(p.forsSigBytes());
+        uint8_t ref_pk[maxN];
+        Sha256::resetCompressionCount();
+        perTreeForsSign(ref_sig.data(), ref_pk, mhash.data(), ctx, adrs);
+        const uint64_t ref_count = Sha256::compressionCount();
+
+        for (const LaneTier &tier : laneTiers) {
+            SCOPED_TRACE(tier.name);
+            ScopedTier pin(tier);
+            ByteVec sig(p.forsSigBytes());
+            uint8_t pk[maxN];
+            Sha256::resetCompressionCount();
+            forsSign(sig.data(), pk, mhash.data(), ctx, adrs);
+            EXPECT_EQ(Sha256::compressionCount(), ref_count);
+            EXPECT_EQ(hexEncode(sig), hexEncode(ref_sig));
+            EXPECT_EQ(hexEncode(ByteSpan(pk, p.n)),
+                      hexEncode(ByteSpan(ref_pk, p.n)));
+        }
+    }
+}
+
+TEST(ForsFusion, LockstepPassRejectsBadCounts)
+{
+    const Params &p = Params::sphincs128f();
+    Rng rng(37);
+    const Context ctx(p, rng.bytes(p.n), rng.bytes(p.n));
+    TreehashStream *streams[1] = {nullptr};
+    ForsLeafReq first[1];
+    EXPECT_THROW(forsTreesLockstep(ctx, streams, first, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(forsTreesLockstep(ctx, streams, first, maxHashLanes + 1),
+                 std::invalid_argument);
+}

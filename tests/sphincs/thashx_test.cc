@@ -1,7 +1,9 @@
 /**
  * @file
  * Batched tweakable-hash layer tests: thashFX/prfAddrX against the
- * scalar calls (full, partial and 16-lane batches), the batched
+ * scalar calls (full, partial and 16-lane batches), padded ragged
+ * tails at every lane count and tier (digests, real-lane-only
+ * compression charges, the simd-lane fault seam), the batched
  * WOTS+/FORS leaf generators against scalar reconstructions from the
  * remaining scalar building blocks, batched-vs-scalar treehash, and
  * end-to-end sign/verify byte-equality plus compression-count parity
@@ -11,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.hh"
 #include "common/hex.hh"
 #include "common/random.hh"
 #include "hash/sha256xN.hh"
@@ -67,106 +70,6 @@ TEST(ThashX, FullBatchMatchesScalarF)
     }
 }
 
-TEST(ThashX, PartialBatchesMatchScalar)
-{
-    const Params &p = Params::sphincs192f();
-    Context ctx = makeContext(p, 3);
-    Rng rng(4);
-
-    // Every count 1..16 crosses all greedy-split shapes: pure scalar
-    // tails, one 8-wide chunk + tail, and the full 16-wide kernel.
-    for (unsigned count = 1; count <= maxHashLanes; ++count) {
-        Address adrs[maxHashLanes];
-        ByteVec inputs[maxHashLanes];
-        const uint8_t *ins[maxHashLanes];
-        uint8_t out[maxHashLanes][maxN];
-        uint8_t *outs[maxHashLanes];
-        for (unsigned l = 0; l < count; ++l) {
-            adrs[l].setType(AddrType::ForsTree);
-            adrs[l].setTreeIndex(count * 100 + l);
-            inputs[l] = rng.bytes(p.n);
-            ins[l] = inputs[l].data();
-            outs[l] = out[l];
-        }
-        thashFX(outs, ctx, adrs, ins, count);
-        for (unsigned l = 0; l < count; ++l) {
-            uint8_t expected[maxN];
-            thashF(expected, ctx, adrs[l], inputs[l].data());
-            EXPECT_EQ(hexEncode(ByteSpan(out[l], p.n)),
-                      hexEncode(ByteSpan(expected, p.n)))
-                << "count " << count << " lane " << l;
-        }
-    }
-}
-
-TEST(ThashX, BatchCompressionCountsMatchScalar)
-{
-    const Params &p = Params::sphincs128f();
-    Context ctx = makeContext(p, 29);
-    Rng rng(30);
-
-    for (unsigned count : {1u, 7u, 8u, 9u, 16u}) {
-        Address adrs[maxHashLanes];
-        ByteVec inputs[maxHashLanes];
-        const uint8_t *ins[maxHashLanes];
-        uint8_t out[maxHashLanes][maxN];
-        uint8_t *outs[maxHashLanes];
-        for (unsigned l = 0; l < count; ++l) {
-            adrs[l].setType(AddrType::WotsHash);
-            adrs[l].setChain(l);
-            inputs[l] = rng.bytes(p.n);
-            ins[l] = inputs[l].data();
-            outs[l] = out[l];
-        }
-
-        Sha256::resetCompressionCount();
-        for (unsigned l = 0; l < count; ++l) {
-            uint8_t expected[maxN];
-            thashF(expected, ctx, adrs[l], inputs[l].data());
-        }
-        const uint64_t scalar_count = Sha256::compressionCount();
-
-        Sha256::resetCompressionCount();
-        thashFX(outs, ctx, adrs, ins, count);
-        EXPECT_EQ(Sha256::compressionCount(), scalar_count)
-            << "count " << count;
-    }
-}
-
-TEST(ThashX, LongInputBatchMatchesScalarThash)
-{
-    const Params &p = Params::sphincs256f();
-    Context ctx = makeContext(p, 5);
-    Rng rng(6);
-
-    // WOTS pk compression shape: len * n input per lane, at both SIMD
-    // widths and a ragged width.
-    const size_t in_len = static_cast<size_t>(p.wotsLen()) * p.n;
-    for (unsigned count : {8u, 13u, 16u}) {
-        Address adrs[maxHashLanes];
-        ByteVec inputs[maxHashLanes];
-        const uint8_t *ins[maxHashLanes];
-        uint8_t out[maxHashLanes][maxN];
-        uint8_t *outs[maxHashLanes];
-        for (unsigned l = 0; l < count; ++l) {
-            adrs[l].setType(AddrType::WotsPk);
-            adrs[l].setKeypair(l);
-            inputs[l] = rng.bytes(in_len);
-            ins[l] = inputs[l].data();
-            outs[l] = out[l];
-        }
-        thashX(outs, ctx, adrs, ins, in_len, count);
-
-        for (unsigned l = 0; l < count; ++l) {
-            uint8_t expected[maxN];
-            thash(expected, ctx, adrs[l], inputs[l]);
-            EXPECT_EQ(hexEncode(ByteSpan(out[l], p.n)),
-                      hexEncode(ByteSpan(expected, p.n)))
-                << "count " << count << " lane " << l;
-        }
-    }
-}
-
 TEST(ThashX, PrfBatchMatchesScalar)
 {
     const Params &p = Params::sphincs128f();
@@ -189,6 +92,143 @@ TEST(ThashX, PrfBatchMatchesScalar)
         EXPECT_EQ(hexEncode(ByteSpan(out[l], p.n)),
                   hexEncode(ByteSpan(expected, p.n)));
     }
+}
+
+/** One lane tier, pinned for a scope and released on exit. */
+struct LaneTier
+{
+    const char *name;
+    bool scalar;
+    bool noAvx512;
+};
+
+constexpr LaneTier laneTiers[] = {
+    {"forced-scalar", true, false},
+    {"width-8", false, true},
+    {"widest", false, false},
+};
+
+struct ScopedTier
+{
+    explicit ScopedTier(const LaneTier &tier)
+    {
+        sha256LanesForceScalar(tier.scalar);
+        sha256LanesDisableAvx512(tier.noAvx512);
+    }
+    ~ScopedTier()
+    {
+        sha256LanesForceScalar(false);
+        sha256LanesDisableAvx512(false);
+    }
+};
+
+/**
+ * One thashX batch of @p count lanes against per-lane scalar thash
+ * calls: equal digests, and a compression charge of count times the
+ * blocks one scalar call takes.
+ */
+void
+expectBatchMatchesScalar(const Context &ctx, size_t in_len,
+                         unsigned count, Rng &rng)
+{
+    const unsigned n = ctx.params().n;
+    Address adrs[maxHashLanes];
+    ByteVec inputs[maxHashLanes];
+    const uint8_t *ins[maxHashLanes];
+    uint8_t out[maxHashLanes][maxN];
+    uint8_t *outs[maxHashLanes];
+    for (unsigned l = 0; l < count; ++l) {
+        adrs[l].setType(AddrType::ForsTree);
+        adrs[l].setTreeHeight(1);
+        adrs[l].setTreeIndex(count * 100 + l);
+        inputs[l] = rng.bytes(in_len);
+        ins[l] = inputs[l].data();
+        outs[l] = out[l];
+    }
+
+    uint8_t expected[maxHashLanes][maxN];
+    Sha256::resetCompressionCount();
+    thash(expected[0], ctx, adrs[0], inputs[0]);
+    const uint64_t blocks = Sha256::compressionCount();
+    for (unsigned l = 1; l < count; ++l)
+        thash(expected[l], ctx, adrs[l], inputs[l]);
+
+    Sha256::resetCompressionCount();
+    thashX(outs, ctx, adrs, ins, in_len, count);
+    EXPECT_EQ(Sha256::compressionCount(), count * blocks);
+    for (unsigned l = 0; l < count; ++l)
+        EXPECT_EQ(hexEncode(ByteSpan(out[l], n)),
+                  hexEncode(ByteSpan(expected[l], n)))
+            << "lane " << l;
+}
+
+TEST(ThashX, PartialBatchesMatchScalar)
+{
+    // F/PRF inputs (n bytes) fit one block on the seeded mid-state;
+    // H inputs (2n) take one block at n = 16 and two at n = 24, 32;
+    // T_len inputs (len * n) take many. Every count 1..16 covers the
+    // lone scalar lane, padded x8 and x16 tails, and full calls
+    // followed by a padded tail.
+    Rng rng(32);
+    for (const LaneTier &tier : laneTiers) {
+        ScopedTier pin(tier);
+        for (const Params *pp : {&Params::sphincs128f(),
+                                 &Params::sphincs192f(),
+                                 &Params::sphincs256f()}) {
+            const Params &p = *pp;
+            Context ctx = makeContext(p, 31);
+            for (size_t in_len : {static_cast<size_t>(p.n),
+                                  2 * static_cast<size_t>(p.n),
+                                  static_cast<size_t>(p.wotsLen()) * p.n})
+                for (unsigned count = 1; count <= maxHashLanes; ++count) {
+                    SCOPED_TRACE(std::string(tier.name) + " " + p.name +
+                                 " in_len " + std::to_string(in_len) +
+                                 " count " + std::to_string(count));
+                    expectBatchMatchesScalar(ctx, in_len, count, rng);
+                }
+        }
+    }
+}
+
+TEST(ThashX, SimdLaneFaultCorruptsExactlyOneRealLaneOfPaddedTail)
+{
+    if (!laneDispatch().avx2 && !laneDispatch().avx512)
+        GTEST_SKIP() << "needs an active SIMD tier (a 3-lane batch "
+                        "runs scalar without one)";
+    const Params &p = Params::sphincs128f();
+    Context ctx = makeContext(p, 33);
+    Rng rng(34);
+
+    // A 3-lane batch is all tail: one padded call, no scalar lane.
+    constexpr unsigned count = 3;
+    Address adrs[count];
+    ByteVec inputs[count];
+    const uint8_t *ins[count];
+    uint8_t out[count][maxN];
+    uint8_t *outs[count];
+    uint8_t expected[count][maxN];
+    for (unsigned l = 0; l < count; ++l) {
+        adrs[l].setType(AddrType::WotsHash);
+        adrs[l].setChain(l);
+        inputs[l] = rng.bytes(p.n);
+        ins[l] = inputs[l].data();
+        outs[l] = out[l];
+        thashF(expected[l], ctx, adrs[l], inputs[l].data());
+    }
+
+    FaultPlan plan;
+    plan.rule(FaultPoint::SimdLane).active = true;
+    FaultInjector::instance().arm(plan);
+    thashFX(outs, ctx, adrs, ins, count);
+    const uint64_t fired =
+        FaultInjector::instance().fired(FaultPoint::SimdLane);
+    FaultInjector::instance().disarm();
+
+    EXPECT_EQ(fired, 1u);
+    unsigned corrupted = 0;
+    for (unsigned l = 0; l < count; ++l)
+        corrupted += std::memcmp(out[l], expected[l], p.n) != 0;
+    EXPECT_EQ(corrupted, 1u);
 }
 
 TEST(ThashX, RejectsBadCounts)
@@ -269,7 +309,7 @@ TEST(BatchedLeaves, WotsPkGenXNMatchesScalarComposition)
     }
 }
 
-TEST(BatchedLeaves, ForsGenLeavesXNMatchesScalar)
+TEST(BatchedLeaves, ForsLeafBatchMatchesScalar)
 {
     const Params &p = Params::sphincs128f();
     Context ctx = makeContext(p, 13);
@@ -280,9 +320,15 @@ TEST(BatchedLeaves, ForsGenLeavesXNMatchesScalar)
     fors_adrs.setType(AddrType::ForsTree);
     fors_adrs.setKeypair(9);
 
-    for (unsigned count : {1u, 5u, 8u, 13u, 16u}) {
+    for (unsigned count : {1u, 5u, 8u, 13u, 16u, 35u}) {
         std::vector<uint8_t> leaves(count * p.n);
-        forsGenLeavesXN(leaves.data(), ctx, fors_adrs, 40, count);
+        std::vector<ForsLeafReq> reqs(count);
+        for (unsigned j = 0; j < count; ++j) {
+            reqs[j].adrs = fors_adrs;
+            reqs[j].idx = 40 + j;
+            reqs[j].out = leaves.data() + j * p.n;
+        }
+        forsLeafBatch(ctx, reqs.data(), count);
         for (unsigned j = 0; j < count; ++j) {
             uint8_t expected[maxN];
             forsGenLeaf(expected, ctx, fors_adrs, 40 + j);

@@ -169,7 +169,10 @@ TEST(ProfileTest, SaveLoadAndFingerprintGuard)
                   .config,
               p.config);
     auto stale = p.fingerprint;
-    stale.dispatch = "portable";
+    // Differ from the host's own dispatch, which is "portable" in the
+    // lane-matrix modes that disable the SIMD tiers.
+    stale.dispatch =
+        p.fingerprint.dispatch == "portable" ? "avx512" : "portable";
     try {
         (void)tune::loadProfileMatching(tmp.path, stale);
         FAIL() << "accepted stale-fingerprint profile";
