@@ -8,11 +8,11 @@
  *
  * A second table sweeps workers (1/2/4/8/16) x lane width
  * (scalar/x8/x16) x batching mode: "within" caps the coalescing
- * group at one job (each signature batches only its own hash work,
- * the pre-LaneScheduler behaviour) while "cross" lets workers
- * coalesce queued signatures into lockstep lane groups. The cross
- * rows are the sign-side counterpart of the verifier's
- * across-signature lane fill.
+ * group at one job (signGroup() of one: each signature batches only
+ * its own hash work) while "cross" lets workers coalesce up to 16
+ * queued signatures into one signGroup() call. The cross rows are
+ * the sign-side counterpart of the verifier's across-signature lane
+ * fill.
  *
  *   $ ./batch_throughput [--csv] [--json F] [--msgs N] [--set NAME]
  *
@@ -219,8 +219,8 @@ main(int argc, char **argv)
                     BatchSignerConfig cfg;
                     cfg.workers = workers;
                     cfg.shards = 4;
-                    // laneGroup 1 pins the within-signature path;
-                    // the cross rows always offer the full group so
+                    // laneGroup 1 pins groups of one; the cross
+                    // rows always offer the full group so
                     // the mode split is identical at every width.
                     cfg.laneGroup =
                         cross ? batch::LaneScheduler::maxGroup : 1;
@@ -258,6 +258,7 @@ main(int argc, char **argv)
          "within = coalescing disabled (laneGroup 1, each signature "
          "batches only its own hash work); cross = workers coalesce "
          "queued signatures into lockstep lane groups "
-         "(LaneScheduler). Byte-identical output in every cell.");
+         "(one signGroup call each). Byte-identical output in every "
+         "cell.");
     return 0;
 }

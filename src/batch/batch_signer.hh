@@ -13,13 +13,12 @@
  * worker ever holds a private copy of secret material.
  *
  * Each pass coalesces queued jobs up to the configured laneGroup and
- * hands them to the shared sign group step (batch::SignStep): signed
- * in lockstep by the LaneScheduler so SIMD hash lanes fill across
- * signatures, or — for a group of one — on the within-signature
- * path. Signatures are byte-identical to the scalar
- * sphincs::SphincsPlus path regardless of worker count, group size or
- * scheduling order. What stays here is the signer's own Telemetry and
- * its per-epoch BatchStats.
+ * hands them to the shared sign group step (batch::SignStep), which
+ * signs them as one sphincs::SphincsPlus::signGroup() call so SIMD
+ * hash lanes fill across signatures. Signatures are byte-identical to
+ * signing each message alone regardless of worker count, group size
+ * or scheduling order. What stays here is the signer's own Telemetry
+ * and its per-epoch BatchStats.
  */
 
 #ifndef HEROSIGN_BATCH_BATCH_SIGNER_HH
@@ -52,11 +51,12 @@ struct BatchSignerConfig
 {
     unsigned workers = 4;  ///< worker threads (clamped to >= 1)
     unsigned shards = 4;   ///< queue shards; engine wires streams here
-    /// Jobs one worker coalesces into a single cross-signature lane
-    /// group (signed in lockstep, hash lanes filled across
-    /// signatures). 0 = auto (the dispatched hash-lane width);
-    /// 1 disables coalescing — every job takes the within-signature
-    /// path. Clamped to the LaneScheduler group bound.
+    /// Jobs one worker coalesces into a single signing group (one
+    /// signGroup() call, hash lanes filled across signatures).
+    /// 0 = auto (the dispatched hash-lane width); 1 disables
+    /// coalescing — every job is a group of one, whose lanes fill
+    /// only within its own signature. Clamped to the LaneScheduler
+    /// group bound.
     unsigned laneGroup = 0;
     Sha256Variant variant = Sha256Variant::Native;
     /// Verify every produced signature against the warm context

@@ -23,10 +23,10 @@ struct BatchStats
     uint64_t crossShardPops = 0; ///< work-stealing dequeues
     uint64_t failures = 0;     ///< jobs that completed exceptionally
     /// Cross-signature lane groups run (coalesced pops of >= 2 jobs
-    /// signed in lockstep by the LaneScheduler).
+    /// signed as one signGroup() call).
     uint64_t laneGroups = 0;
-    /// Jobs signed inside such a group (the rest took the
-    /// within-signature scalar-batched path).
+    /// Jobs signed inside such a group (the rest were groups of one,
+    /// batched only within their own signature).
     uint64_t crossSignJobs = 0;
     /// Queued jobs dropped at dequeue because their deadline had
     /// passed (failed with DeadlineExceeded; included in failures).

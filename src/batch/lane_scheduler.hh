@@ -1,36 +1,28 @@
 /**
  * @file
- * LaneScheduler: cross-signature sign-side lane batching.
+ * LaneScheduler: the group bounds of cross-signature signing.
  *
- * Verification has filled SIMD lanes across signatures since PR 4;
- * signing still batched only within one signature — one layer's
- * ragged WOTS chains, one tree's leaves — so the 16-lane engine
- * starves on the -f parameter shapes (8..16 WOTS leaves per subtree).
- * The LaneScheduler closes that gap: it walks a group of resumable
- * sphincs::SignTask contexts through FORS and the d hypertree layers
- * in lockstep, pooling every leaf descriptor and every same-shape
- * tree combine across the group, so lanes stay saturated regardless
- * of parameter-set shape. The signing keypairs' WOTS signatures are
- * captured from the pooled pk-generation walks, eliminating the
- * separate per-layer wotsSign() chain walk entirely.
- *
- * Group members must share one warm Context (same key, same
- * parameter set) — mixed-parameter-set groups are rejected with
- * std::invalid_argument. Output signatures are byte-identical to the
- * scalar SphincsPlus::sign() path at every lane width and group size.
+ * Signing fills SIMD hash lanes across signatures through
+ * sphincs::SphincsPlus::signGroup(): up to maxGroup signatures under
+ * one key walk FORS and the d hypertree layers together, pooling
+ * every leaf and every same-shape tree combine across the group. The
+ * worker planes coalesce queued jobs toward preferredGroup() and sign
+ * them as one group (batch::SignStep). Output signatures are
+ * byte-identical to signing each message alone, at every lane width
+ * and group size.
  */
 
 #ifndef HEROSIGN_BATCH_LANE_SCHEDULER_HH
 #define HEROSIGN_BATCH_LANE_SCHEDULER_HH
 
 #include "common/bytes.hh"
-#include "sphincs/sign_task.hh"
+#include "sphincs/sphincs.hh"
 #include "sphincs/thashx.hh"
 
 namespace herosign::batch
 {
 
-/** Static driver for groups of in-flight signatures. */
+/** Group bounds and a signGroup() entry point for one warm context. */
 class LaneScheduler
 {
   public:
@@ -49,24 +41,21 @@ class LaneScheduler
     }
 
     /**
-     * Run @p count tasks (1..maxGroup) to completion in lockstep:
-     * FORS tree by tree (one forsTreesLockstep() pass per tree index,
-     * the pass forsSign() runs within one signature), then layer by
-     * layer, every hash pooled across the group. All tasks must share one Context object.
-     * @throws std::invalid_argument on a mixed group
-     */
-    static void run(sphincs::SignTask *const tasks[], unsigned count);
-
-    /**
-     * Convenience wrapper: sign @p count messages under one key as
-     * one pooled group. opt_rands[i] may be empty (deterministic
-     * signing); @p opt_rands itself may be nullptr for all-
-     * deterministic. sigs[i] receives the signature for msgs[i].
+     * Sign @p count messages under one key as one group:
+     * SphincsPlus::signGroup() on @p ctx's parameter set. opt_rands[i]
+     * may be empty (deterministic signing); @p opt_rands itself may
+     * be nullptr for all-deterministic. sigs[i] receives the
+     * signature for msgs[i].
+     * @throws std::invalid_argument when count exceeds maxGroup
      */
     static void signGroup(const sphincs::Context &ctx,
                           const sphincs::SecretKey &sk,
                           const ByteSpan msgs[], const ByteSpan opt_rands[],
-                          ByteVec sigs[], unsigned count);
+                          ByteVec sigs[], unsigned count)
+    {
+        sphincs::SphincsPlus(ctx.params(), ctx.variant())
+            .signGroup(ctx, sk, msgs, opt_rands, sigs, count);
+    }
 };
 
 } // namespace herosign::batch

@@ -5,13 +5,10 @@
  * warm key state; it signs them and settles each job through the
  * plane:
  *
- *  - a group of one takes the within-signature SphincsPlus::sign
- *    path (lanes fill only inside that signature's trees);
- *  - a larger group runs in lockstep through SignTask and
- *    LaneScheduler::run, hash lanes filled across signatures. A
- *    member whose SignTask construction throws fails alone and the
- *    survivors still sign together; a group-wide throw fails every
- *    member;
+ *  - the group, of any size, is one SphincsPlus::signGroup() call:
+ *    hash lanes fill across the group's signatures as well as within
+ *    each one. A throw fails every member (the front ends reject a
+ *    wrong-length opt_rand at submit, so no member can fail alone);
  *  - with verify-after-sign on, every signature is checked before
  *    release (guard()); the completion callback runs last, isolated
  *    from the signature it is handed.
@@ -21,14 +18,12 @@
 #define HEROSIGN_BATCH_SIGN_STEP_HH
 
 #include <atomic>
-#include <memory>
 #include <span>
 #include <string>
 
 #include "batch/lane_scheduler.hh"
 #include "batch/sign_request.hh"
 #include "batch/worker_plane.hh"
-#include "sphincs/sign_task.hh"
 #include "sphincs/sphincs.hh"
 
 namespace herosign::batch
@@ -125,61 +120,35 @@ SignStep::run(WorkerPlane<Job> &plane, unsigned worker,
         tel_.stamp(job->trace, telemetry::Stage::GroupFormed);
     tel_.recordGroup(telemetry::Plane::Sign, jobs.size(), groupHint_);
 
-    // Sign into sigs[i] for live[i]; a member that fails here is
-    // settled at once and dropped.
     constexpr unsigned kMax = LaneScheduler::maxGroup;
-    Job *live[kMax];
+    const unsigned n = static_cast<unsigned>(jobs.size());
+    ByteSpan msgs[kMax];
+    ByteSpan rands[kMax];
     ByteVec sigs[kMax];
-    unsigned n = 0;
-    if (jobs.size() == 1) {
-        Job &job = *jobs[0];
-        tel_.stamp(job.trace, telemetry::Stage::CryptoStart);
-        try {
-            sigs[0] = key.scheme.sign(key.ctx, job.req.message, key.sk,
-                                      job.req.optRand);
-            live[n++] = &job;
-        } catch (...) {
-            plane.fail(job, std::current_exception());
-        }
-    } else {
-        std::unique_ptr<sphincs::SignTask> tasks[kMax];
-        sphincs::SignTask *ptrs[kMax];
-        for (Job *job : jobs) {
-            try {
-                tasks[n] = std::make_unique<sphincs::SignTask>(
-                    key.ctx, key.sk, job->req.message,
-                    job->req.optRand);
-                ptrs[n] = tasks[n].get();
-                live[n++] = job;
-            } catch (...) {
-                plane.fail(*job, std::current_exception());
-            }
-        }
-        if (n == 0)
-            return;
-        for (unsigned i = 0; i < n; ++i)
-            tel_.stamp(live[i]->trace, telemetry::Stage::CryptoStart);
-        try {
-            LaneScheduler::run(ptrs, n);
-            for (unsigned i = 0; i < n; ++i)
-                sigs[i] = tasks[i]->takeSignature();
-        } catch (...) {
-            // A group-wide failure fails every member.
-            for (unsigned i = 0; i < n; ++i)
-                plane.fail(*live[i], std::current_exception());
-            return;
-        }
+    for (unsigned i = 0; i < n; ++i) {
+        msgs[i] = jobs[i]->req.message;
+        rands[i] = jobs[i]->req.optRand;
+        tel_.stamp(jobs[i]->trace, telemetry::Stage::CryptoStart);
+    }
+    try {
+        key.scheme.signGroup(key.ctx, key.sk, msgs, rands, sigs, n);
+    } catch (...) {
+        for (Job *job : jobs)
+            plane.fail(*job, std::current_exception());
+        return;
+    }
+    if (n > 1) {
         laneGroups_.fetch_add(1, std::memory_order_relaxed);
         crossSignJobs_.fetch_add(n, std::memory_order_relaxed);
     }
-    for (unsigned i = 0; i < n; ++i)
-        tel_.stamp(live[i]->trace, telemetry::Stage::CryptoEnd);
+    for (Job *job : jobs)
+        tel_.stamp(job->trace, telemetry::Stage::CryptoEnd);
     for (unsigned i = 0; i < n; ++i) {
         try {
-            plane.succeed(worker, *live[i],
-                          release(key, std::move(sigs[i]), *live[i]));
+            plane.succeed(worker, *jobs[i],
+                          release(key, std::move(sigs[i]), *jobs[i]));
         } catch (...) {
-            plane.fail(*live[i], std::current_exception());
+            plane.fail(*jobs[i], std::current_exception());
         }
     }
 }

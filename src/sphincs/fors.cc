@@ -90,30 +90,6 @@ forsLeafBatch(const Context &ctx, const ForsLeafReq reqs[],
 }
 
 void
-forsSelectedSecrets(uint8_t *sig, const Context &ctx,
-                    const Address &fors_adrs, const uint32_t indices[])
-{
-    const Params &p = ctx.params();
-    const uint32_t t = p.forsLeaves();
-    const size_t stride = static_cast<size_t>(p.forsHeight + 1) * p.n;
-    Address sk_base = fors_adrs;
-    sk_base.setType(AddrType::ForsPrf);
-    sk_base.setKeypair(fors_adrs.keypair());
-    sk_base.setTreeHeight(0);
-    Address adrs[maxHashLanes];
-    uint8_t *outs[maxHashLanes];
-    for (unsigned g = 0; g < p.forsTrees; g += maxHashLanes) {
-        const unsigned m = std::min(maxHashLanes, p.forsTrees - g);
-        for (unsigned j = 0; j < m; ++j) {
-            adrs[j] = sk_base;
-            adrs[j].setTreeIndex(indices[g + j] + (g + j) * t);
-            outs[j] = sig + (g + j) * stride;
-        }
-        prfAddrX(outs, ctx, adrs, m);
-    }
-}
-
-void
 forsTreesLockstep(const Context &ctx, TreehashStream *const streams[],
                   const ForsLeafReq first[], unsigned count)
 {
@@ -148,48 +124,82 @@ forsTreesLockstep(const Context &ctx, TreehashStream *const streams[],
 }
 
 void
-forsSign(uint8_t *sig, uint8_t *pk_out, const uint8_t *mhash,
-         const Context &ctx, const Address &fors_adrs)
+forsSignXN(uint8_t *const sig[], uint8_t *const pk_out[],
+           const uint8_t *const mhash[], const Context &ctx,
+           const Address fors_adrs[], unsigned count)
 {
+    if (count == 0 || count > maxHashLanes)
+        throw std::invalid_argument("forsSignXN: count must be 1..16");
     const Params &p = ctx.params();
     const unsigned n = p.n;
+    const unsigned k = p.forsTrees;
     const uint32_t t = p.forsLeaves();
     const size_t stride = static_cast<size_t>(p.forsHeight + 1) * n;
 
-    uint32_t indices[64];
-    messageToIndices(indices, p, mhash);
-    forsSelectedSecrets(sig, ctx, fors_adrs, indices);
+    uint32_t indices[maxHashLanes][64];
+    Address tree_adrs[maxHashLanes];
+    for (unsigned l = 0; l < count; ++l) {
+        messageToIndices(indices[l], p, mhash[l]);
+        tree_adrs[l] = fors_adrs[l];
+        tree_adrs[l].setType(AddrType::ForsTree);
+        tree_adrs[l].setKeypair(fors_adrs[l].keypair());
+    }
 
-    // Tree Fusion: the k trees are independent and equal in shape, so
-    // groups of up to maxHashLanes build in lockstep and every node
-    // combine is one lane batch across the group instead of a scalar
-    // call per tree. Each auth path lands after its secret value.
-    Address tree_adrs = fors_adrs;
-    tree_adrs.setType(AddrType::ForsTree);
-    tree_adrs.setKeypair(fors_adrs.keypair());
+    // Tree Fusion over the count * k (signature, tree) pairs: every
+    // tree is independent and equal in shape, so each chunk of up to
+    // maxHashLanes pairs builds in lockstep and every node combine is
+    // one lane batch across the chunk, whichever signatures its trees
+    // belong to. Each auth path lands after its secret value.
+    uint8_t roots[maxHashLanes][64 * maxN];
     TreehashStream streams[maxHashLanes];
     TreehashStream *group[maxHashLanes];
     ForsLeafReq first[maxHashLanes];
-    uint8_t roots[64 * maxN];
-    for (unsigned g = 0; g < p.forsTrees; g += maxHashLanes) {
-        const unsigned m = std::min(maxHashLanes, p.forsTrees - g);
+    Address sk_adrs[maxHashLanes];
+    uint8_t *sk_outs[maxHashLanes];
+    uint8_t *root_outs[maxHashLanes];
+    const unsigned pairs = count * k;
+    for (unsigned g = 0; g < pairs; g += maxHashLanes) {
+        const unsigned m = std::min(maxHashLanes, pairs - g);
         for (unsigned j = 0; j < m; ++j) {
-            const unsigned i = g + j;
-            streams[j].begin(ctx, p.forsHeight, indices[i], i * t,
-                             sig + i * stride + n, tree_adrs);
+            const unsigned l = (g + j) / k;
+            const unsigned i = (g + j) % k;
+            uint8_t *block = sig[l] + i * stride;
+            sk_adrs[j] = tree_adrs[l];
+            sk_adrs[j].setType(AddrType::ForsPrf);
+            sk_adrs[j].setKeypair(fors_adrs[l].keypair());
+            sk_adrs[j].setTreeHeight(0);
+            sk_adrs[j].setTreeIndex(indices[l][i] + i * t);
+            sk_outs[j] = block;
+            streams[j].begin(ctx, p.forsHeight, indices[l][i], i * t,
+                             block + n, tree_adrs[l]);
             group[j] = &streams[j];
-            first[j].adrs = tree_adrs;
+            first[j].adrs = tree_adrs[l];
             first[j].idx = i * t;
+            root_outs[j] = roots[l] + static_cast<size_t>(i) * n;
         }
+        prfAddrX(sk_outs, ctx, sk_adrs, m);
         forsTreesLockstep(ctx, group, first, m);
         for (unsigned j = 0; j < m; ++j)
-            std::memcpy(roots + (g + j) * n, streams[j].root(), n);
+            std::memcpy(root_outs[j], streams[j].root(), n);
     }
 
-    Address pk_adrs = fors_adrs;
-    pk_adrs.setType(AddrType::ForsRoots);
-    pk_adrs.setKeypair(fors_adrs.keypair());
-    thash(pk_out, ctx, pk_adrs, ByteSpan(roots, p.forsTrees * n));
+    // One batched k*n-byte root compression per signature.
+    Address pk_adrs[maxHashLanes];
+    const uint8_t *ins[maxHashLanes];
+    for (unsigned l = 0; l < count; ++l) {
+        pk_adrs[l] = fors_adrs[l];
+        pk_adrs[l].setType(AddrType::ForsRoots);
+        pk_adrs[l].setKeypair(fors_adrs[l].keypair());
+        ins[l] = roots[l];
+    }
+    thashX(pk_out, ctx, pk_adrs, ins, static_cast<size_t>(k) * n, count);
+}
+
+void
+forsSign(uint8_t *sig, uint8_t *pk_out, const uint8_t *mhash,
+         const Context &ctx, const Address &fors_adrs)
+{
+    forsSignXN(&sig, &pk_out, &mhash, ctx, &fors_adrs, 1);
 }
 
 void

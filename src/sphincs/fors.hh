@@ -3,7 +3,8 @@
  * FORS — Forest of Random Subsets (spec §5). k Merkle trees of height
  * a; the message digest selects one leaf per tree. Each tree is
  * independent, the property HERO-Sign's FORS Fusion builds on
- * (paper §III-B): forsSign() builds the trees in lockstep groups.
+ * (paper §III-B): forsSignXN() builds the trees of one or several
+ * signatures in lockstep groups.
  */
 
 #ifndef HEROSIGN_SPHINCS_FORS_HH
@@ -46,8 +47,8 @@ void forsGenLeaf(uint8_t *out, const Context &ctx,
  * tree * t + position) of the forest addressed by @p adrs, written to
  * @p out. Requests in one forsLeafBatch() call may come from
  * different trees, keypairs and signatures — each carries its own
- * base address — so the cross-signature LaneScheduler can fill hash
- * lanes across in-flight signatures.
+ * base address — so forsSignXN() can fill hash lanes across the trees
+ * of several signatures.
  */
 struct ForsLeafReq
 {
@@ -66,21 +67,8 @@ void forsLeafBatch(const Context &ctx, const ForsLeafReq reqs[],
                    unsigned count);
 
 /**
- * Derive the k selected secret values — tree i's leaf @p indices[i] —
- * into a FORS signature: tree i's value lands at
- * sig + i * (a + 1) * n, the head of its signature block. The PRF
- * calls run maxHashLanes per lane batch.
- * @param indices k leaf indices from messageToIndices()
- * @param fors_adrs ForsTree-typed address with layer/tree/keypair set
- */
-void forsSelectedSecrets(uint8_t *sig, const Context &ctx,
-                         const Address &fors_adrs,
-                         const uint32_t indices[]);
-
-/**
- * Build @p count FORS trees in lockstep: the lockstep pass behind
- * both forsSign()'s within-signature Tree Fusion and the
- * cross-signature LaneScheduler. Leaves are generated in waves of
+ * Build @p count FORS trees in lockstep: the pass behind
+ * forsSignXN()'s Tree Fusion. Leaves are generated in waves of
  * maxHashLanes positions across all count trees (one pooled
  * forsLeafBatch() per wave), then every position is absorbed into
  * the count streams with one TreehashStream::absorbLockstep(), so
@@ -97,21 +85,32 @@ void forsTreesLockstep(const Context &ctx, TreehashStream *const streams[],
                        const ForsLeafReq first[], unsigned count);
 
 /**
- * FORS signature: for each of the k trees, the selected secret value
- * followed by its authentication path. The k independent trees build
- * as fused groups of up to maxHashLanes (paper §III-B Tree Fusion)
- * through forsTreesLockstep(), so the narrowing upper levels of one
- * signature's forest still fill hash lanes. The k mod 16 leftover
- * trees form a last, narrower group whose batches run padded (a lone
- * leftover tree combines scalar). Byte-identical, with an equal
- * compression count, to building the trees one at a time with
- * treehash() over forsGenLeaf() leaves.
- * @param sig out, forsSigBytes()
- * @param pk_out out, n bytes: the FORS public key (root compression),
- *        which is the message signed by the bottom hypertree layer
- * @param mhash the message-digest prefix (forsMsgBytes() bytes)
- * @param fors_adrs ForsTree-typed address with layer(0)/tree/keypair
+ * FORS signatures for @p count signatures sharing one context, the
+ * sign-side twin of forsPkFromSigXN(). Each signature's block holds,
+ * for each of its k trees, the selected secret value followed by its
+ * authentication path. The count * k (signature, tree) pairs are
+ * independent and equal in shape, so they build in chunks of
+ * maxHashLanes through forsTreesLockstep() (paper §III-B Tree
+ * Fusion); a chunk may span signatures, and the last, narrower chunk
+ * runs padded (a lone leftover tree combines scalar). The secret
+ * values of a chunk take one PRF batch and the count T_k root
+ * compressions one more. Byte-identical, with an equal compression
+ * count, to building every tree alone with treehash() over
+ * forsGenLeaf() leaves.
+ *
+ * @param sig count pointers to forsSigBytes() outputs
+ * @param pk_out count pointers to n-byte FORS public keys (the
+ *        messages signed by the bottom hypertree layer)
+ * @param mhash count pointers to forsMsgBytes() digest prefixes
+ * @param fors_adrs count ForsTree-typed addresses with
+ *        layer(0)/tree/keypair set
+ * @param count 1..maxHashLanes signatures
  */
+void forsSignXN(uint8_t *const sig[], uint8_t *const pk_out[],
+                const uint8_t *const mhash[], const Context &ctx,
+                const Address fors_adrs[], unsigned count);
+
+/** forsSignXN() for one signature. */
 void forsSign(uint8_t *sig, uint8_t *pk_out, const uint8_t *mhash,
               const Context &ctx, const Address &fors_adrs);
 

@@ -168,40 +168,17 @@ TreehashStream::absorbLockstep(TreehashStream *const streams[],
 void
 treehash(uint8_t *root, uint8_t *auth_path, const Context &ctx,
          uint32_t leaf_idx, uint32_t idx_offset, unsigned height,
-         BatchLeafRef gen_leaves, Address &tree_adrs)
+         const LeafFn &gen_leaf, Address &tree_adrs)
 {
-    const unsigned n = ctx.params().n;
-
-    // One stream absorbing full lane-width leaf batches reproduces
-    // the historical one-shot treehash hash for hash.
     TreehashStream stream;
     stream.begin(ctx, height, leaf_idx, idx_offset, auth_path,
                  tree_adrs);
-
-    uint8_t leaf_buf[maxHashLanes * maxN];
-    const uint32_t leaves = 1u << height;
-    const uint32_t width = hashLaneWidth();
-    for (uint32_t base = 0; base < leaves; base += width) {
-        const uint32_t batch = std::min<uint32_t>(width, leaves - base);
-        gen_leaves(leaf_buf, base, batch);
-        stream.absorb(leaf_buf, batch);
+    uint8_t leaf[maxN];
+    for (uint32_t i = 0; i < stream.total(); ++i) {
+        gen_leaf(leaf, i);
+        stream.absorb(leaf, 1);
     }
-    std::memcpy(root, stream.root(), n);
-}
-
-void
-treehash(uint8_t *root, uint8_t *auth_path, const Context &ctx,
-         uint32_t leaf_idx, uint32_t idx_offset, unsigned height,
-         const LeafFn &gen_leaf, Address &tree_adrs)
-{
-    const unsigned n = ctx.params().n;
-    auto gen_leaves = [&](uint8_t *out, uint32_t leaf_start,
-                          uint32_t count) {
-        for (uint32_t j = 0; j < count; ++j)
-            gen_leaf(out + static_cast<size_t>(j) * n, leaf_start + j);
-    };
-    treehash(root, auth_path, ctx, leaf_idx, idx_offset, height,
-             gen_leaves, tree_adrs);
+    std::memcpy(root, stream.root(), ctx.params().n);
 }
 
 void
@@ -273,7 +250,74 @@ void
 wotsGenLeaf(uint8_t *leaf_out, const Context &ctx, uint32_t layer,
             uint64_t tree, uint32_t leaf_idx)
 {
-    wotsPkGenXN(leaf_out, ctx, layer, tree, leaf_idx, 1);
+    Address adrs;
+    adrs.setLayer(layer);
+    adrs.setTree(tree);
+    adrs.setKeypair(leaf_idx);
+    wotsPkGen(leaf_out, ctx, adrs);
+}
+
+void
+merkleSignXN(uint8_t *const sig[], uint8_t *const root_out[],
+             const Context &ctx, uint32_t layer, const uint64_t tree[],
+             const uint32_t leaf_idx[], const uint8_t *const msg[],
+             unsigned count)
+{
+    if (count == 0 || count > maxHashLanes)
+        throw std::invalid_argument("merkleSignXN: count must be 1..16");
+    const Params &p = ctx.params();
+    const unsigned n = p.n;
+    const uint32_t leaves = p.treeLeaves();
+
+    // The chain lengths come from the messages before any root is
+    // written, so root_out may alias msg.
+    uint32_t lengths[maxHashLanes][maxWotsLen];
+    TreehashStream streams[maxHashLanes];
+    TreehashStream *group[maxHashLanes];
+    for (unsigned l = 0; l < count; ++l) {
+        if (sig)
+            chainLengths(lengths[l], p, msg[l]);
+        Address tree_adrs;
+        tree_adrs.setLayer(layer);
+        tree_adrs.setTree(tree[l]);
+        tree_adrs.setType(AddrType::Tree);
+        streams[l].begin(ctx, p.treeHeight(), sig ? leaf_idx[l] : 0, 0,
+                         sig ? sig[l] + p.wotsSigBytes() : nullptr,
+                         tree_adrs);
+        group[l] = &streams[l];
+    }
+
+    // Leaves in waves of up to maxHashLanes positions across the
+    // group, one pooled wotsLeafBatch() per wave; the signing leaves'
+    // signatures are captured in passing. Then every position is
+    // absorbed into the count streams with one absorbLockstep().
+    constexpr uint32_t posChunk = maxHashLanes;
+    uint8_t slab[posChunk * maxHashLanes * maxN];
+    WotsLeafReq reqs[posChunk * maxHashLanes];
+    const uint8_t *leaf_ptrs[maxHashLanes];
+    for (uint32_t j0 = 0; j0 < leaves; j0 += posChunk) {
+        const uint32_t jc = std::min(posChunk, leaves - j0);
+        unsigned nr = 0;
+        for (uint32_t q = 0; q < jc; ++q) {
+            for (unsigned l = 0; l < count; ++l, ++nr) {
+                const bool signing = sig && j0 + q == leaf_idx[l];
+                reqs[nr].layer = layer;
+                reqs[nr].tree = tree[l];
+                reqs[nr].keypair = j0 + q;
+                reqs[nr].leafOut = slab + static_cast<size_t>(nr) * n;
+                reqs[nr].sigOut = signing ? sig[l] : nullptr;
+                reqs[nr].lengths = signing ? lengths[l] : nullptr;
+            }
+        }
+        wotsLeafBatch(ctx, reqs, nr);
+        for (uint32_t q = 0; q < jc; ++q) {
+            for (unsigned l = 0; l < count; ++l)
+                leaf_ptrs[l] = slab + static_cast<size_t>(q * count + l) * n;
+            TreehashStream::absorbLockstep(group, leaf_ptrs, count);
+        }
+    }
+    for (unsigned l = 0; l < count; ++l)
+        std::memcpy(root_out[l], streams[l].root(), n);
 }
 
 void
@@ -281,26 +325,7 @@ merkleSign(uint8_t *sig, uint8_t *root_out, const Context &ctx,
            uint32_t layer, uint64_t tree, uint32_t leaf_idx,
            const uint8_t *msg)
 {
-    const Params &p = ctx.params();
-
-    Address wots_adrs;
-    wots_adrs.setLayer(layer);
-    wots_adrs.setTree(tree);
-    wots_adrs.setType(AddrType::WotsHash);
-    wots_adrs.setKeypair(leaf_idx);
-    wotsSign(sig, msg, ctx, wots_adrs);
-
-    Address tree_adrs;
-    tree_adrs.setLayer(layer);
-    tree_adrs.setTree(tree);
-    tree_adrs.setType(AddrType::Tree);
-
-    auto gen_leaves = [&](uint8_t *out, uint32_t leaf_start,
-                          uint32_t count) {
-        wotsPkGenXN(out, ctx, layer, tree, leaf_start, count);
-    };
-    treehash(root_out, sig + p.wotsSigBytes(), ctx, leaf_idx, 0,
-             p.treeHeight(), gen_leaves, tree_adrs);
+    merkleSignXN(&sig, &root_out, ctx, layer, &tree, &leaf_idx, &msg, 1);
 }
 
 } // namespace herosign::sphincs

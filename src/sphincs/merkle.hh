@@ -3,14 +3,14 @@
  * Merkle tree machinery shared by FORS and the hypertree (MSS):
  * stack-based treehash with authentication-path extraction, the
  * verification-side root reconstruction, and the MSS layer signing
- * step (WOTS+ sign + auth path) of paper §II-A3/A4.
+ * step (WOTS+ sign + auth path) of paper §II-A3/A4, run for one or
+ * several signatures in lockstep.
  */
 
 #ifndef HEROSIGN_SPHINCS_MERKLE_HH
 #define HEROSIGN_SPHINCS_MERKLE_HH
 
 #include <functional>
-#include <type_traits>
 
 #include "common/bytes.hh"
 #include "sphincs/address.hh"
@@ -27,49 +27,12 @@ namespace herosign::sphincs
 using LeafFn = std::function<void(uint8_t *out, uint32_t leaf_idx)>;
 
 /**
- * Non-owning reference to a batched leaf generator: a callable
- * producing @p count consecutive leaves (local indices leaf_start ..
- * leaf_start + count - 1, count <= maxHashLanes) contiguously into
- * @p out. Lets
- * the generator run its hash calls across SIMD lanes (see
- * sphincs/thashx.hh). A lightweight function_ref rather than
- * std::function so the signing hot path never heap-allocates for the
- * callback; the referenced callable must outlive the treehash call
- * (passing a lambda as the argument is fine).
- */
-class BatchLeafRef
-{
-  public:
-    template <typename F,
-              typename = std::enable_if_t<std::is_invocable_v<
-                  const F &, uint8_t *, uint32_t, uint32_t>>>
-    BatchLeafRef(const F &fn) // NOLINT: implicit by design
-        : obj_(&fn), call_([](const void *obj, uint8_t *out,
-                              uint32_t leaf_start, uint32_t count) {
-              (*static_cast<const F *>(obj))(out, leaf_start, count);
-          })
-    {
-    }
-
-    void
-    operator()(uint8_t *out, uint32_t leaf_start, uint32_t count) const
-    {
-        call_(obj_, out, leaf_start, count);
-    }
-
-  private:
-    const void *obj_;
-    void (*call_)(const void *, uint8_t *, uint32_t, uint32_t);
-};
-
-/**
  * Incremental stack-based treehash over one Merkle tree: leaves are
  * absorbed in index order (any batch sizes), the root and the
  * authentication path for one leaf fall out once all 2^height leaves
- * have been absorbed. This is the resumable core the cross-signature
- * LaneScheduler drives — a signing context parks a stream per tree
- * and an external pool feeds it leaves — and the one-shot treehash()
- * below is a thin wrapper over it, so the two paths are
+ * have been absorbed. forsSignXN() and merkleSignXN() park a stream
+ * per tree and feed it leaves from pooled hash batches; the one-shot
+ * treehash() below is a thin wrapper over it, so the two paths are
  * byte-identical by construction.
  *
  * Streams of identical shape (same height, absorbed in lockstep) can
@@ -152,32 +115,23 @@ class TreehashStream
 
 /**
  * Stack-based treehash: computes the root of a 2^height-leaf Merkle
- * tree and the authentication path for @p leaf_idx. The leaf layer is
- * produced hashLaneWidth() leaves per callback so independent leaves
- * fill the dispatched hash lanes; the node combining above it is
- * serial within one tree (each combine needs the one below it), so
- * it runs scalar here. Independent same-shape trees lift that limit
- * by climbing in lockstep through TreehashStream::absorbLockstep():
- * forsSign() fuses the k FORS trees of one signature that way, and
- * LaneScheduler fuses trees across signatures. The hypertree layers
- * of one signature stay on this one-tree path.
+ * tree and the authentication path for @p leaf_idx, one scalar leaf
+ * callback and one scalar node combine at a time. The signing path
+ * does not use it (forsSignXN() and merkleSignXN() pool leaves and
+ * combines across trees); it is the plain reference their tests
+ * check against.
  *
  * @param root out, n bytes
  * @param auth_path out, height * n bytes (may be nullptr to skip)
  * @param leaf_idx index of the authenticated leaf (local, 0-based)
  * @param idx_offset added to node indices in the hash addresses (used
  *        by FORS where tree i starts at leaf index i * t)
- * @param height tree height (at most maxTreeHeight)
- * @param gen_leaves batched leaf generator (receives local indices;
- *        must apply idx_offset itself when addressing)
+ * @param height tree height (at most TreehashStream::maxHeight)
+ * @param gen_leaf leaf generator (receives local indices; must apply
+ *        idx_offset itself when addressing)
  * @param tree_adrs address with layer/tree/type set; height/index
  *        fields are managed here
  */
-void treehash(uint8_t *root, uint8_t *auth_path, const Context &ctx,
-              uint32_t leaf_idx, uint32_t idx_offset, unsigned height,
-              BatchLeafRef gen_leaves, Address &tree_adrs);
-
-/** Scalar-leaf convenience overload wrapping @p gen_leaf. */
 void treehash(uint8_t *root, uint8_t *auth_path, const Context &ctx,
               uint32_t leaf_idx, uint32_t idx_offset, unsigned height,
               const LeafFn &gen_leaf, Address &tree_adrs);
@@ -218,14 +172,32 @@ void wotsGenLeaf(uint8_t *leaf_out, const Context &ctx, uint32_t layer,
                  uint64_t tree, uint32_t leaf_idx);
 
 /**
- * One MSS layer of the hypertree signature: WOTS+-sign @p msg with
- * keypair @p leaf_idx of subtree (layer, tree), emit the WOTS+
- * signature followed by the auth path, and return the subtree root.
+ * One MSS layer of the hypertree for @p count signatures sharing one
+ * context: signature l WOTS+-signs @p msg[l] with keypair
+ * @p leaf_idx[l] of subtree (layer, tree[l]), emits that WOTS+
+ * signature followed by the auth path, and returns the subtree root.
+ * The count * 2^(h/d) WOTS+ leaves are pooled through
+ * wotsLeafBatch(), and each signing keypair's signature is captured
+ * during its leaf's chain walk, so no separate wotsSign() walk runs.
+ * The count same-shape subtrees climb in lockstep through
+ * TreehashStream::absorbLockstep(). Byte-identical to wotsSign() plus
+ * treehash() over wotsPkGen() leaves, per signature, at every lane
+ * width.
  *
- * @param sig out, xmssSigBytes() = wots sig + treeHeight * n
- * @param root_out out, n bytes: the subtree root (message for the
- *        next layer)
+ * @param sig count pointers to xmssSigBytes() outputs (wots sig +
+ *        treeHeight * n), or nullptr to compute the roots alone
+ *        (keygen); @p leaf_idx and @p msg are then unused
+ * @param root_out count pointers to n-byte subtree roots (the
+ *        messages of the next layer); root_out[l] may alias msg[l]
+ * @param msg count pointers to the n-byte messages (lower roots)
+ * @param count 1..maxHashLanes signatures
  */
+void merkleSignXN(uint8_t *const sig[], uint8_t *const root_out[],
+                  const Context &ctx, uint32_t layer,
+                  const uint64_t tree[], const uint32_t leaf_idx[],
+                  const uint8_t *const msg[], unsigned count);
+
+/** merkleSignXN() for one signature. */
 void merkleSign(uint8_t *sig, uint8_t *root_out, const Context &ctx,
                 uint32_t layer, uint64_t tree, uint32_t leaf_idx,
                 const uint8_t *msg);

@@ -64,6 +64,14 @@ Params::validate() const
         throw std::invalid_argument("Params: tree index exceeds 64 bits");
 }
 
+bool
+Params::sameShape(const Params &other) const
+{
+    return n == other.n && fullHeight == other.fullHeight &&
+           layers == other.layers && forsHeight == other.forsHeight &&
+           forsTrees == other.forsTrees && wotsW == other.wotsW;
+}
+
 const Params &
 Params::sphincs128f()
 {

@@ -117,6 +117,12 @@ struct Params
     /** Validate internal consistency; throws std::invalid_argument. */
     void validate() const;
 
+    /**
+     * True when @p other describes the same scheme: equal n, h, d, a,
+     * k and w. The name is a label and is not compared.
+     */
+    bool sameShape(const Params &other) const;
+
     /** The three -f parameter sets of the paper (Table I). */
     static const Params &sphincs128f();
     static const Params &sphincs192f();

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "common/zeroize.hh"
 
@@ -117,24 +118,27 @@ SphincsPlus::SphincsPlus(const Params &params, Sha256Variant variant)
     params_.validate();
 }
 
+void
+SphincsPlus::requireContext(const Context &ctx, ByteSpan pk_seed,
+                            const char *who) const
+{
+    // The whole parameter set, not just n: a context for another set
+    // with the same n would lay the signature out differently.
+    if (!ctx.params().sameShape(params_) ||
+        !ctEqual(ctx.pkSeed(), pk_seed))
+        throw std::invalid_argument(
+            std::string(who) + ": context does not match the key");
+}
+
 ByteVec
 SphincsPlus::computePkRoot(ByteSpan sk_seed, ByteSpan pk_seed) const
 {
     Context ctx(params_, pk_seed, sk_seed, variant_);
-    const uint32_t top_layer = params_.layers - 1;
-
-    Address tree_adrs;
-    tree_adrs.setLayer(top_layer);
-    tree_adrs.setTree(0);
-    tree_adrs.setType(AddrType::Tree);
-
     ByteVec root(params_.n);
-    auto gen_leaves = [&](uint8_t *out, uint32_t leaf_start,
-                          uint32_t count) {
-        wotsPkGenXN(out, ctx, top_layer, 0, leaf_start, count);
-    };
-    treehash(root.data(), nullptr, ctx, 0, 0, params_.treeHeight(),
-             gen_leaves, tree_adrs);
+    uint8_t *root_out = root.data();
+    const uint64_t tree = 0;
+    merkleSignXN(nullptr, &root_out, ctx, params_.layers - 1, &tree,
+                 nullptr, nullptr, 1);
     return root;
 }
 
@@ -177,54 +181,82 @@ ByteVec
 SphincsPlus::sign(const Context &ctx, ByteSpan msg, const SecretKey &sk,
                   ByteSpan opt_rand) const
 {
-    const unsigned n = params_.n;
-    if (ctx.params().n != n ||
-        !ctEqual(ctx.pkSeed(), ByteSpan(sk.pkSeed)) ||
-        !ctEqual(ctx.skSeed(), ByteSpan(sk.skSeed)))
-        throw std::invalid_argument(
-            "sign: context does not match the secret key");
+    ByteVec sig;
+    signGroup(ctx, sk, &msg, &opt_rand, &sig, 1);
+    return sig;
+}
 
-    ByteVec sig(params_.sigBytes());
-    uint8_t *out = sig.data();
+void
+SphincsPlus::signGroup(const Context &ctx, const SecretKey &sk,
+                       const ByteSpan msgs[], const ByteSpan opt_rands[],
+                       ByteVec sigs[], unsigned count) const
+{
+    requireContext(ctx, sk.pkSeed, "sign");
+    if (!ctEqual(ctx.skSeed(), ByteSpan(sk.skSeed)))
+        throw std::invalid_argument(
+            "sign: context does not match the key");
+    if (count > maxHashLanes)
+        throw std::invalid_argument("sign: group exceeds 16 members");
+    if (count == 0)
+        return;
 
     // R = PRF_msg(sk_prf, opt_rand, msg); deterministic variant uses
-    // opt_rand = pk_seed.
-    ByteSpan rand = opt_rand.empty() ? ByteSpan(sk.pkSeed) : opt_rand;
-    if (rand.size() != n)
-        throw std::invalid_argument("sign: opt_rand must be n bytes");
-    prfMsg(out, ctx, sk.skPrf, rand, msg);
-    ByteSpan r(out, n);
-    out += n;
-
-    // Message digest and index split.
-    ByteVec digest(params_.msgDigestBytes());
-    hashMessage(digest, ctx, r, sk.pkRoot, msg);
-    DigestSplit split = splitDigest(params_, digest);
-
-    uint64_t idx_tree = split.idxTree;
-    uint32_t idx_leaf = split.idxLeaf;
-
-    // FORS at the bottom.
-    Address fors_adrs;
-    fors_adrs.setLayer(0);
-    fors_adrs.setTree(idx_tree);
-    fors_adrs.setType(AddrType::ForsTree);
-    fors_adrs.setKeypair(idx_leaf);
-
-    uint8_t root[maxN];
-    forsSign(out, root, split.forsMsg.data(), ctx, fors_adrs);
-    out += params_.forsSigBytes();
-
-    // Hypertree layers, bottom-up (paper Fig. 2 snippet).
-    for (uint32_t layer = 0; layer < params_.layers; ++layer) {
-        merkleSign(out, root, ctx, layer, idx_tree, idx_leaf, root);
-        out += params_.xmssSigBytes();
-        idx_leaf = static_cast<uint32_t>(idx_tree &
-                                         maskBits(params_.treeHeight()));
-        idx_tree >>= params_.treeHeight();
+    // opt_rand = pk_seed. Every length is checked before any work.
+    const unsigned n = params_.n;
+    ByteSpan rands[maxHashLanes];
+    for (unsigned l = 0; l < count; ++l) {
+        rands[l] = opt_rands && !opt_rands[l].empty() ? opt_rands[l]
+                                                      : ByteSpan(sk.pkSeed);
+        if (rands[l].size() != n)
+            throw std::invalid_argument("sign: opt_rand must be n bytes");
     }
 
-    return sig;
+    uint8_t *out[maxHashLanes];
+    uint64_t idx_tree[maxHashLanes];
+    uint32_t idx_leaf[maxHashLanes];
+    ByteVec fors_msgs[maxHashLanes];
+    const uint8_t *mhash[maxHashLanes];
+    Address fors_adrs[maxHashLanes];
+    uint8_t roots[maxHashLanes][maxN];
+    uint8_t *root_ptrs[maxHashLanes];
+    for (unsigned l = 0; l < count; ++l) {
+        sigs[l].assign(params_.sigBytes(), 0);
+        out[l] = sigs[l].data();
+        prfMsg(out[l], ctx, sk.skPrf, rands[l], msgs[l]);
+
+        // Message digest and index split.
+        ByteVec digest(params_.msgDigestBytes());
+        hashMessage(digest, ctx, ByteSpan(out[l], n), sk.pkRoot, msgs[l]);
+        out[l] += n;
+        DigestSplit split = splitDigest(params_, digest);
+        fors_msgs[l] = std::move(split.forsMsg);
+        mhash[l] = fors_msgs[l].data();
+        idx_tree[l] = split.idxTree;
+        idx_leaf[l] = split.idxLeaf;
+
+        fors_adrs[l].setLayer(0);
+        fors_adrs[l].setTree(idx_tree[l]);
+        fors_adrs[l].setType(AddrType::ForsTree);
+        fors_adrs[l].setKeypair(idx_leaf[l]);
+        root_ptrs[l] = roots[l];
+    }
+
+    // FORS at the bottom, then the hypertree layers bottom-up (paper
+    // Fig. 2 snippet), each step for the whole group at once.
+    forsSignXN(out, root_ptrs, mhash, ctx, fors_adrs, count);
+    for (unsigned l = 0; l < count; ++l)
+        out[l] += params_.forsSigBytes();
+
+    for (uint32_t layer = 0; layer < params_.layers; ++layer) {
+        merkleSignXN(out, root_ptrs, ctx, layer, idx_tree, idx_leaf,
+                     root_ptrs, count);
+        for (unsigned l = 0; l < count; ++l) {
+            out[l] += params_.xmssSigBytes();
+            idx_leaf[l] = static_cast<uint32_t>(
+                idx_tree[l] & maskBits(params_.treeHeight()));
+            idx_tree[l] >>= params_.treeHeight();
+        }
+    }
 }
 
 bool
@@ -240,11 +272,8 @@ bool
 SphincsPlus::verify(const Context &ctx, ByteSpan msg, ByteSpan sig,
                     const PublicKey &pk) const
 {
+    requireContext(ctx, pk.pkSeed, "verify");
     const unsigned n = params_.n;
-    if (ctx.params().n != n ||
-        !ctEqual(ctx.pkSeed(), ByteSpan(pk.pkSeed)))
-        throw std::invalid_argument(
-            "verify: context does not match the public key");
     if (sig.size() != params_.sigBytes())
         return false;
 
@@ -417,6 +446,7 @@ SphincsPlus::verifyBatch(const Context &ctx,
                          const std::vector<ByteSpan> &sigs,
                          const PublicKey &pk) const
 {
+    requireContext(ctx, pk.pkSeed, "verifyBatch");
     if (msgs.size() != sigs.size())
         throw std::invalid_argument(
             "verifyBatch: msgs/sigs size mismatch");
@@ -436,10 +466,7 @@ SphincsPlus::verifyBatch(const Context &ctx, const ByteSpan msgs[],
                          const ByteSpan sigs[], const PublicKey &pk,
                          bool ok[], size_t count) const
 {
-    if (ctx.params().n != params_.n ||
-        !ctEqual(ctx.pkSeed(), ByteSpan(pk.pkSeed)))
-        throw std::invalid_argument(
-            "verifyBatch: context does not match the public key");
+    requireContext(ctx, pk.pkSeed, "verifyBatch");
 
     // Malformed lengths reject up front; survivors verify in lane
     // groups of the dispatched width (16 on AVX-512, 8 elsewhere).

@@ -1,9 +1,10 @@
 /**
  * @file
- * SPHINCS+ top level: key generation, signing and verification
- * (scalar CPU reference implementation). This is the library's
- * correctness oracle — the GPU-simulated engines must produce
- * byte-identical signatures.
+ * SPHINCS+ top level: key generation, signing and verification on
+ * the CPU, with the hot loops batched across SIMD hash lanes. Every
+ * signature comes from one group routine, signGroup(): sign() is a
+ * group of one. This is the library's correctness oracle — the
+ * GPU-simulated engines must produce byte-identical signatures.
  */
 
 #ifndef HEROSIGN_SPHINCS_SPHINCS_HH
@@ -110,21 +111,44 @@ class SphincsPlus
                  ByteSpan opt_rand = {}) const;
 
     /**
-     * Sign @p msg reusing a warm context. @p ctx must have been built
-     * for @p sk (same pk_seed and sk_seed) — checked, throws
-     * std::invalid_argument on mismatch. This is the serving-layer hot
-     * path: no per-sign Context construction.
+     * Sign @p msg reusing a warm context: signGroup() with a group of
+     * one. This is the serving-layer hot path: no per-sign Context
+     * construction.
      */
     ByteVec sign(const Context &ctx, ByteSpan msg, const SecretKey &sk,
                  ByteSpan opt_rand = {}) const;
+
+    /**
+     * Sign @p count messages under one key as one group, the
+     * sign-side twin of verifyBatch(): sigs[i] receives the signature
+     * of msgs[i], byte-identical to signing it alone. After R and the
+     * digest of each member, forsSignXN() builds the FORS trees of
+     * all members in lockstep and merkleSignXN() runs each hypertree
+     * layer for all members at once, so hash lanes fill across
+     * signatures as well as within them.
+     *
+     * @param ctx warm context built for this parameter set and @p sk
+     *        (same pk_seed and sk_seed) — checked, throws
+     *        std::invalid_argument on mismatch
+     * @param opt_rands count entries of n bytes each, or empty for
+     *        deterministic signing; nullptr makes every member
+     *        deterministic. A wrong length throws
+     *        std::invalid_argument before any member is signed.
+     * @param count 0..16 (0 does nothing; more throws
+     *        std::invalid_argument)
+     */
+    void signGroup(const Context &ctx, const SecretKey &sk,
+                   const ByteSpan msgs[], const ByteSpan opt_rands[],
+                   ByteVec sigs[], unsigned count) const;
 
     /** Verify @p sig over @p msg under @p pk. */
     bool verify(ByteSpan msg, ByteSpan sig, const PublicKey &pk) const;
 
     /**
-     * Verify reusing a warm context. @p ctx must carry the public
-     * key's pk_seed (a signing context for the same keypair works) —
-     * checked, throws std::invalid_argument on mismatch.
+     * Verify reusing a warm context. @p ctx must be built for this
+     * parameter set and carry the public key's pk_seed (a signing
+     * context for the same keypair works) — checked, throws
+     * std::invalid_argument on mismatch.
      */
     bool verify(const Context &ctx, ByteSpan msg, ByteSpan sig,
                 const PublicKey &pk) const;
@@ -141,7 +165,10 @@ class SphincsPlus
     void verifyBatch(const ByteSpan msgs[], const ByteSpan sigs[],
                      const PublicKey &pk, bool ok[], size_t count) const;
 
-    /** Batched verification reusing a warm context. */
+    /**
+     * Batched verification reusing a warm context, checked like
+     * verify(const Context &, ...).
+     */
     void verifyBatch(const Context &ctx, const ByteSpan msgs[],
                      const ByteSpan sigs[], const PublicKey &pk,
                      bool ok[], size_t count) const;
@@ -160,6 +187,13 @@ class SphincsPlus
     ByteVec computePkRoot(ByteSpan sk_seed, ByteSpan pk_seed) const;
 
   private:
+    /**
+     * Throw std::invalid_argument unless @p ctx was built for this
+     * parameter set and carries @p pk_seed.
+     */
+    void requireContext(const Context &ctx, ByteSpan pk_seed,
+                        const char *who) const;
+
     Params params_;
     Sha256Variant variant_;
 };

@@ -258,27 +258,14 @@ wotsLeafBatch(const Context &ctx, const WotsLeafReq reqs[],
 }
 
 void
-wotsPkGenXN(uint8_t *pk_out, const Context &ctx, uint32_t layer,
-            uint64_t tree, uint32_t leaf0, unsigned count)
-{
-    if (count == 0 || count > maxHashLanes)
-        throw std::invalid_argument("wotsPkGenXN: count must be 1..16");
-    const unsigned n = ctx.params().n;
-    WotsLeafReq reqs[maxHashLanes];
-    for (unsigned j = 0; j < count; ++j) {
-        reqs[j].layer = layer;
-        reqs[j].tree = tree;
-        reqs[j].keypair = leaf0 + j;
-        reqs[j].leafOut = pk_out + static_cast<size_t>(j) * n;
-    }
-    wotsLeafBatch(ctx, reqs, count);
-}
-
-void
 wotsPkGen(uint8_t *pk_out, const Context &ctx, const Address &leaf_adrs)
 {
-    wotsPkGenXN(pk_out, ctx, leaf_adrs.layer(), leaf_adrs.tree(),
-                leaf_adrs.keypair(), 1);
+    WotsLeafReq req;
+    req.layer = leaf_adrs.layer();
+    req.tree = leaf_adrs.tree();
+    req.keypair = leaf_adrs.keypair();
+    req.leafOut = pk_out;
+    wotsLeafBatch(ctx, &req, 1);
 }
 
 void

@@ -54,27 +54,14 @@ void wotsPkGen(uint8_t *pk_out, const Context &ctx,
                const Address &leaf_adrs);
 
 /**
- * Compute @p count consecutive WOTS+ compressed public keys (the leaf
- * layer slice starting at keypair @p leaf0) with all count * len hash
- * chains advanced in lockstep lane batches of the dispatched width
- * (16 on AVX-512, 8 elsewhere) — the hot path of signing (~90% of
- * compressions). Byte-identical to count wotsPkGen calls at every
- * width.
- * @param pk_out count * n bytes
- * @param count 1..maxHashLanes leaves
- */
-void wotsPkGenXN(uint8_t *pk_out, const Context &ctx, uint32_t layer,
-                 uint64_t tree, uint32_t leaf0, unsigned count);
-
-/**
  * One WOTS+ leaf of pooled hash work: generate the compressed public
  * key for keypair @p keypair of subtree (layer, tree), optionally
  * capturing the signature chain values on the way. The leaves of one
  * wotsLeafBatch() call may come from different layers, trees and
  * signatures — each request carries its own addressing — which is
- * what lets the cross-signature LaneScheduler keep the hash lanes
- * full on parameter shapes whose subtrees are narrower than the lane
- * width.
+ * what lets merkleSignXN() keep the hash lanes full across several
+ * signatures on parameter shapes whose subtrees are narrower than
+ * the lane width.
  *
  * When @p sigOut is set, @p lengths must point at the wotsLen()
  * chain-length digits of the message this keypair signs; sigOut[i]
@@ -96,8 +83,10 @@ struct WotsLeafReq
 /**
  * Generate @p count WOTS+ leaves described by @p reqs with every hash
  * pooled across requests: chain-start PRFs, chain steps and the final
- * T_len compressions all run in lane batches of the dispatched width,
- * maxHashLanes leaves per internal sub-batch. Leaf and captured
+ * T_len compressions all run in lane batches of the dispatched width
+ * (16 on AVX-512, 8 elsewhere), maxHashLanes leaves per internal
+ * sub-batch — the hot path of signing (~90% of compressions). Leaf
+ * and captured
  * signature bytes are identical to per-leaf wotsPkGen()/wotsSign()
  * calls at every width. @p count is unbounded.
  */

@@ -1,18 +1,19 @@
 /**
  * @file
- * Cross-signature lane batching correctness: LaneScheduler groups
- * must produce signatures byte-identical to the scalar
- * SphincsPlus::sign() path on every Table I parameter set, at every
- * lane width (1 / 8 / 16), for ragged group sizes that don't divide
- * the lane width, and mixed parameter-set groups must reject cleanly.
+ * Group invariance of cross-signature signing: a LaneScheduler group
+ * (one SphincsPlus::signGroup call) must produce signatures
+ * byte-identical to signing each message alone on every Table I
+ * parameter set, at every lane width (1 / 8 / 16), for ragged group
+ * sizes that don't divide the lane width and for a full group, with
+ * exactly the hash work of the single signatures.
  */
 
 #include <gtest/gtest.h>
 
 #include "batch/lane_scheduler.hh"
 #include "batch_test_util.hh"
+#include "hash/sha256.hh"
 #include "hash/sha256xN.hh"
-#include "sphincs/sign_task.hh"
 #include "sphincs/sphincs.hh"
 
 using namespace herosign;
@@ -20,7 +21,6 @@ using namespace herosign::batchtest;
 using batch::LaneScheduler;
 using sphincs::Context;
 using sphincs::Params;
-using sphincs::SignTask;
 using sphincs::SphincsPlus;
 
 namespace
@@ -63,19 +63,23 @@ TEST(LaneSchedulerTest, GroupsMatchScalarOnAllSetsWidthsAndSizes)
         const auto kp = scheme.keygenFromSeed(fixedSeed(p));
         Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
 
-        // Scalar-width references: the ground truth every pooled
-        // configuration must reproduce bit for bit.
-        constexpr unsigned maxMsgs = 5;
+        // Scalar-width single signatures: the ground truth every
+        // group must reproduce bit for bit, and the hash work it
+        // must not exceed or undercut.
+        constexpr unsigned maxMsgs = LaneScheduler::maxGroup;
         std::vector<ByteVec> msgs;
         std::vector<ByteVec> rands;
         std::vector<ByteVec> want;
+        std::vector<uint64_t> comps;
         {
             ScopedWidth w(1);
             for (unsigned i = 0; i < maxMsgs; ++i) {
                 msgs.push_back(patternMsg(48, static_cast<uint8_t>(i)));
                 rands.push_back(optRandFor(p, i));
+                const uint64_t c0 = Sha256::compressionCount();
                 want.push_back(
                     scheme.sign(ctx, msgs[i], kp.sk, rands[i]));
+                comps.push_back(Sha256::compressionCount() - c0);
             }
         }
 
@@ -83,17 +87,23 @@ TEST(LaneSchedulerTest, GroupsMatchScalarOnAllSetsWidthsAndSizes)
             ScopedWidth w(width);
             // Ragged sizes on purpose: 3 and 5 divide neither 8 nor
             // 16, so partial lane groups and tail chains exercise
-            // the fallback kernels.
-            for (unsigned group : {1u, 3u, 5u}) {
+            // the padded kernels; 16 is a full group.
+            for (unsigned group : {1u, 3u, 5u, maxMsgs}) {
                 std::vector<ByteSpan> msg_spans, rand_spans;
+                uint64_t want_comps = 0;
                 for (unsigned i = 0; i < group; ++i) {
                     msg_spans.emplace_back(msgs[i]);
                     rand_spans.emplace_back(rands[i]);
+                    want_comps += comps[i];
                 }
                 std::vector<ByteVec> got(group);
+                const uint64_t c0 = Sha256::compressionCount();
                 LaneScheduler::signGroup(ctx, kp.sk, msg_spans.data(),
                                          rand_spans.data(), got.data(),
                                          group);
+                EXPECT_EQ(Sha256::compressionCount() - c0, want_comps)
+                    << p.name << " width=" << width
+                    << " group=" << group;
                 for (unsigned i = 0; i < group; ++i)
                     EXPECT_EQ(got[i], want[i])
                         << p.name << " width=" << width
@@ -101,32 +111,6 @@ TEST(LaneSchedulerTest, GroupsMatchScalarOnAllSetsWidthsAndSizes)
             }
         }
     }
-}
-
-TEST(LaneSchedulerTest, MixedParameterSetGroupRejects)
-{
-    const Params &pa = Params::sphincs128f();
-    const Params &pb = Params::sphincs192f();
-    SphincsPlus sa(pa), sb(pb);
-    const auto ka = sa.keygenFromSeed(fixedSeed(pa));
-    const auto kb = sb.keygenFromSeed(fixedSeed(pb));
-    Context ca(pa, ka.sk.pkSeed, ka.sk.skSeed);
-    Context cb(pb, kb.sk.pkSeed, kb.sk.skSeed);
-
-    const ByteVec msg = patternMsg(32);
-    SignTask ta(ca, ka.sk, msg);
-    SignTask tb(cb, kb.sk, msg);
-    SignTask *mixed[2] = {&ta, &tb};
-    EXPECT_THROW(LaneScheduler::run(mixed, 2), std::invalid_argument);
-
-    // Same parameter set but a different Context object is also a
-    // mixed shard: the group invariant is one warm context.
-    const auto ka2 = sa.keygenFromSeed(fixedSeed(pa, 99));
-    Context ca2(pa, ka2.sk.pkSeed, ka2.sk.skSeed);
-    SignTask ta2(ca2, ka2.sk, msg);
-    SignTask *twoKeys[2] = {&ta, &ta2};
-    EXPECT_THROW(LaneScheduler::run(twoKeys, 2),
-                 std::invalid_argument);
 }
 
 TEST(LaneSchedulerTest, OversizedGroupRejects)
@@ -143,23 +127,10 @@ TEST(LaneSchedulerTest, OversizedGroupRejects)
     EXPECT_THROW(LaneScheduler::signGroup(ctx, kp.sk, spans.data(),
                                           nullptr, sigs.data(), count),
                  std::invalid_argument);
-}
-
-TEST(LaneSchedulerTest, TaskEnforcesPhaseOrder)
-{
-    const Params p = miniParams();
-    SphincsPlus scheme(p);
-    const auto kp = scheme.keygenFromSeed(fixedSeed(p));
-    Context ctx(p, kp.sk.pkSeed, kp.sk.skSeed);
-
-    const ByteVec msg = patternMsg(32);
-    SignTask task(ctx, kp.sk, msg);
-    EXPECT_THROW(task.beginLayer(0), std::logic_error);
-    EXPECT_THROW(task.beginForsTree(1), std::logic_error);
-    EXPECT_THROW(task.takeSignature(), std::logic_error);
-
-    EXPECT_THROW(SignTask(ctx, kp.sk, msg, patternMsg(p.n + 1)),
-                 std::invalid_argument);
+    // An empty group signs nothing.
+    EXPECT_NO_THROW(LaneScheduler::signGroup(ctx, kp.sk, spans.data(),
+                                             nullptr, sigs.data(), 0));
+    EXPECT_TRUE(sigs[0].empty());
 }
 
 TEST(LaneSchedulerTest, FullGroupOnMiniParams)

@@ -1,8 +1,9 @@
 /**
  * @file
  * FORS tests: index extraction, leaf derivation, the sign →
- * pk-from-sig roundtrip property, and Tree Fusion: the fused forsSign
- * against a per-tree reference at every lane tier.
+ * pk-from-sig roundtrip property, and Tree Fusion: forsSignXN over
+ * one to sixteen signatures against a per-tree reference at every
+ * lane tier.
  */
 
 #include <vector>
@@ -12,6 +13,7 @@
 #include "common/hex.hh"
 #include "common/random.hh"
 #include "hash/sha256xN.hh"
+#include "lane_tiers.hh"
 #include "sphincs/fors.hh"
 #include "sphincs/merkle.hh"
 #include "sphincs/params.hh"
@@ -20,6 +22,7 @@
 
 using namespace herosign;
 using namespace herosign::sphincs;
+using namespace herosign::sphincs::test;
 
 namespace
 {
@@ -218,34 +221,6 @@ perTreeForsSign(uint8_t *sig, uint8_t *pk, const uint8_t *mhash,
     thash(pk, ctx, pk_adrs, roots);
 }
 
-/** One lane tier, pinned for a scope and released on exit. */
-struct LaneTier
-{
-    const char *name;
-    bool scalar;
-    bool noAvx512;
-};
-
-constexpr LaneTier laneTiers[] = {
-    {"forced-scalar", true, false},
-    {"width-8", false, true},
-    {"widest", false, false},
-};
-
-struct ScopedTier
-{
-    explicit ScopedTier(const LaneTier &tier)
-    {
-        sha256LanesForceScalar(tier.scalar);
-        sha256LanesDisableAvx512(tier.noAvx512);
-    }
-    ~ScopedTier()
-    {
-        sha256LanesForceScalar(false);
-        sha256LanesDisableAvx512(false);
-    }
-};
-
 /** 128f with k trees: exercises every k mod 16 fusion remainder. */
 Params
 withTrees(unsigned k)
@@ -271,30 +246,56 @@ TEST(ForsFusion, FusedSignMatchesPerTreeReference)
         ASSERT_NO_THROW(p.validate());
         Rng rng(36 + p.forsTrees);
         const Context ctx(p, rng.bytes(p.n), rng.bytes(p.n));
-        Address adrs;
-        adrs.setLayer(0);
-        adrs.setTree(91);
-        adrs.setType(AddrType::ForsTree);
-        adrs.setKeypair(5);
-        const ByteVec mhash = rng.bytes(p.forsMsgBytes());
 
-        ByteVec ref_sig(p.forsSigBytes());
-        uint8_t ref_pk[maxN];
-        Sha256::resetCompressionCount();
-        perTreeForsSign(ref_sig.data(), ref_pk, mhash.data(), ctx, adrs);
-        const uint64_t ref_count = Sha256::compressionCount();
-
-        for (const LaneTier &tier : laneTiers) {
-            SCOPED_TRACE(tier.name);
-            ScopedTier pin(tier);
-            ByteVec sig(p.forsSigBytes());
-            uint8_t pk[maxN];
+        // Several signatures: the (signature, tree) chunks of 16
+        // cross signature boundaries whenever k is not a multiple
+        // of 16.
+        for (unsigned count : {1u, 2u, 3u, 16u}) {
+            SCOPED_TRACE("signatures " + std::to_string(count));
+            std::vector<Address> adrs(count);
+            std::vector<ByteVec> mhash(count);
+            std::vector<ByteVec> ref_sigs(count, ByteVec(p.forsSigBytes()));
+            std::vector<ByteVec> ref_pks(count, ByteVec(p.n));
             Sha256::resetCompressionCount();
-            forsSign(sig.data(), pk, mhash.data(), ctx, adrs);
-            EXPECT_EQ(Sha256::compressionCount(), ref_count);
-            EXPECT_EQ(hexEncode(sig), hexEncode(ref_sig));
-            EXPECT_EQ(hexEncode(ByteSpan(pk, p.n)),
-                      hexEncode(ByteSpan(ref_pk, p.n)));
+            for (unsigned l = 0; l < count; ++l) {
+                adrs[l].setLayer(0);
+                adrs[l].setTree(91 + l);
+                adrs[l].setType(AddrType::ForsTree);
+                adrs[l].setKeypair(5 + l);
+                mhash[l] = rng.bytes(p.forsMsgBytes());
+                perTreeForsSign(ref_sigs[l].data(), ref_pks[l].data(),
+                                mhash[l].data(), ctx, adrs[l]);
+            }
+            const uint64_t ref_count = Sha256::compressionCount();
+
+            for (const LaneTier &tier : laneTiers) {
+                SCOPED_TRACE(tier.name);
+                ScopedTier pin(tier);
+                std::vector<ByteVec> sigs(count, ByteVec(p.forsSigBytes()));
+                std::vector<ByteVec> pks(count, ByteVec(p.n));
+                uint8_t *sig_ptrs[maxHashLanes];
+                uint8_t *pk_ptrs[maxHashLanes];
+                const uint8_t *mhash_ptrs[maxHashLanes];
+                for (unsigned l = 0; l < count; ++l) {
+                    sig_ptrs[l] = sigs[l].data();
+                    pk_ptrs[l] = pks[l].data();
+                    mhash_ptrs[l] = mhash[l].data();
+                }
+                Sha256::resetCompressionCount();
+                if (count == 1)
+                    forsSign(sig_ptrs[0], pk_ptrs[0], mhash_ptrs[0], ctx,
+                             adrs[0]);
+                else
+                    forsSignXN(sig_ptrs, pk_ptrs, mhash_ptrs, ctx,
+                               adrs.data(), count);
+                EXPECT_EQ(Sha256::compressionCount(), ref_count);
+                for (unsigned l = 0; l < count; ++l) {
+                    EXPECT_EQ(hexEncode(sigs[l]), hexEncode(ref_sigs[l]))
+                        << "signature " << l;
+                    EXPECT_EQ(hexEncode(pks[l]), hexEncode(ref_pks[l]))
+                        << "signature " << l;
+                }
+            }
         }
     }
 }
@@ -309,5 +310,13 @@ TEST(ForsFusion, LockstepPassRejectsBadCounts)
     EXPECT_THROW(forsTreesLockstep(ctx, streams, first, 0),
                  std::invalid_argument);
     EXPECT_THROW(forsTreesLockstep(ctx, streams, first, maxHashLanes + 1),
+                 std::invalid_argument);
+
+    uint8_t *outs[1] = {nullptr};
+    const uint8_t *ins[1] = {nullptr};
+    Address adrs[1];
+    EXPECT_THROW(forsSignXN(outs, outs, ins, ctx, adrs, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(forsSignXN(outs, outs, ins, ctx, adrs, maxHashLanes + 1),
                  std::invalid_argument);
 }

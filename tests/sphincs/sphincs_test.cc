@@ -249,3 +249,47 @@ TEST(Sphincs, SignRejectsBadOptRand)
     EXPECT_THROW(scheme.sign(msg, kp.sk, bad_rand),
                  std::invalid_argument);
 }
+
+TEST(Sphincs, ContextForAnotherSetWithSameNThrows)
+{
+    // A valid set that shares n = 16 with 128f but lays the signature
+    // out differently: every warm-context entry point must refuse it
+    // instead of signing past the buffer or verifying to false.
+    const Params &p = Params::sphincs128f();
+    Params other = p;
+    other.name = "n16-h63-d7";
+    other.fullHeight = 63;
+    other.layers = 7;
+    other.forsHeight = 12;
+    other.forsTrees = 14;
+    ASSERT_NO_THROW(other.validate());
+
+    SphincsPlus scheme(p);
+    Rng rng(74);
+    const KeyPair kp = scheme.keygen(rng);
+    const Context wrong(other, kp.sk.pkSeed, kp.sk.skSeed);
+    const ByteVec msg = rng.bytes(8);
+    const ByteVec sig = scheme.sign(msg, kp.sk);
+    const ByteSpan m(msg);
+    const ByteSpan s(sig);
+
+    EXPECT_THROW(scheme.sign(wrong, msg, kp.sk), std::invalid_argument);
+    ByteVec out;
+    EXPECT_THROW(scheme.signGroup(wrong, kp.sk, &m, nullptr, &out, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(scheme.verify(wrong, msg, sig, kp.pk),
+                 std::invalid_argument);
+    bool ok = false;
+    EXPECT_THROW(scheme.verifyBatch(wrong, &m, &s, kp.pk, &ok, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(scheme.verifyBatch(wrong, std::vector<ByteSpan>{m},
+                                    std::vector<ByteSpan>{s}, kp.pk),
+                 std::invalid_argument);
+
+    // The set's name is only a label: a renamed copy still matches.
+    Params renamed = p;
+    renamed.name = "renamed-128f";
+    const Context same(renamed, kp.sk.pkSeed, kp.sk.skSeed);
+    EXPECT_EQ(scheme.sign(same, msg, kp.sk), sig);
+    EXPECT_TRUE(scheme.verify(same, msg, sig, kp.pk));
+}

@@ -4,11 +4,11 @@
  * scalar calls (full, partial and 16-lane batches), padded ragged
  * tails at every lane count and tier (digests, real-lane-only
  * compression charges, the simd-lane fault seam), the batched
- * WOTS+/FORS leaf generators against scalar reconstructions from the
- * remaining scalar building blocks, batched-vs-scalar treehash, and
- * end-to-end sign/verify byte-equality plus compression-count parity
- * across the AVX-512 (width 16), AVX2 (width 8) and portable
- * backends.
+ * WOTS+/FORS leaf generators (and the in-walk WOTS+ signature
+ * capture) against scalar reconstructions from the remaining scalar
+ * building blocks, and end-to-end sign/verify byte-equality plus
+ * compression-count parity across the AVX-512 (width 16), AVX2
+ * (width 8) and portable backends.
  */
 
 #include <gtest/gtest.h>
@@ -285,25 +285,55 @@ scalarWotsLeaf(uint8_t *pk_out, const Context &ctx, uint32_t layer,
     thash(pk_out, ctx, pk_adrs, ByteSpan(chains, len * n));
 }
 
-TEST(BatchedLeaves, WotsPkGenXNMatchesScalarComposition)
+TEST(BatchedLeaves, WotsLeafBatchMatchesScalarComposition)
 {
     for (const Params *pp : {&Params::sphincs128f(),
                              &Params::sphincs192f(),
                              &Params::sphincs256f()}) {
         const Params &p = *pp;
         Context ctx = makeContext(p, 11);
-        const uint32_t layer = 1, leaf0 = 4;
-        const uint64_t tree = 77;
+        Rng rng(12);
 
-        for (unsigned count : {1u, 3u, 8u, 11u, 16u}) {
+        // Mixed layers, trees and keypairs in one call; every third
+        // request also captures a WOTS+ signature.
+        for (unsigned count : {1u, 3u, 8u, 11u, 16u, 35u}) {
+            std::vector<WotsLeafReq> reqs(count);
             std::vector<uint8_t> pks(count * p.n);
-            wotsPkGenXN(pks.data(), ctx, layer, tree, leaf0, count);
+            std::vector<ByteVec> msgs(count), sigs(count);
+            std::vector<std::vector<uint32_t>> lengths(count);
             for (unsigned j = 0; j < count; ++j) {
+                reqs[j].layer = j % 3;
+                reqs[j].tree = 77 + j % 2;
+                reqs[j].keypair = 4 + j;
+                reqs[j].leafOut = pks.data() + j * p.n;
+                if (j % 3 == 0) {
+                    msgs[j] = rng.bytes(p.n);
+                    sigs[j].resize(p.wotsSigBytes());
+                    lengths[j].resize(p.wotsLen());
+                    chainLengths(lengths[j].data(), p, msgs[j].data());
+                    reqs[j].sigOut = sigs[j].data();
+                    reqs[j].lengths = lengths[j].data();
+                }
+            }
+            wotsLeafBatch(ctx, reqs.data(), count);
+            for (unsigned j = 0; j < count; ++j) {
+                SCOPED_TRACE(p.name + " count " + std::to_string(count) +
+                             " leaf " + std::to_string(j));
                 uint8_t expected[maxN];
-                scalarWotsLeaf(expected, ctx, layer, tree, leaf0 + j);
+                scalarWotsLeaf(expected, ctx, reqs[j].layer,
+                               reqs[j].tree, reqs[j].keypair);
                 EXPECT_EQ(hexEncode(ByteSpan(pks.data() + j * p.n, p.n)),
-                          hexEncode(ByteSpan(expected, p.n)))
-                    << p.name << " count " << count << " leaf " << j;
+                          hexEncode(ByteSpan(expected, p.n)));
+                if (!reqs[j].sigOut)
+                    continue;
+                Address adrs;
+                adrs.setLayer(reqs[j].layer);
+                adrs.setTree(reqs[j].tree);
+                adrs.setType(AddrType::WotsHash);
+                adrs.setKeypair(reqs[j].keypair);
+                ByteVec want(p.wotsSigBytes());
+                wotsSign(want.data(), msgs[j].data(), ctx, adrs);
+                EXPECT_EQ(hexEncode(sigs[j]), hexEncode(want));
             }
         }
     }
@@ -338,61 +368,6 @@ TEST(BatchedLeaves, ForsLeafBatchMatchesScalar)
                 << "count " << count << " leaf " << j;
         }
     }
-}
-
-TEST(BatchedTreehash, BatchedAndScalarLeafFnAgree)
-{
-    const Params &p = Params::sphincs128f();
-    Context ctx = makeContext(p, 17);
-    const unsigned height = 4;
-    const uint32_t leaf_idx = 5;
-
-    auto leaf_bytes = [&](uint32_t idx) {
-        ByteVec leaf(p.n, 0);
-        for (unsigned i = 0; i < p.n; ++i)
-            leaf[i] = static_cast<uint8_t>(idx * 31 + i);
-        return leaf;
-    };
-
-    Address adrs_a;
-    adrs_a.setType(AddrType::Tree);
-    uint8_t root_a[maxN], auth_a[maxTreeHeight * maxN];
-    treehash(root_a, auth_a, ctx, leaf_idx, 0, height,
-             LeafFn([&](uint8_t *out, uint32_t idx) {
-                 auto leaf = leaf_bytes(idx);
-                 std::memcpy(out, leaf.data(), p.n);
-             }),
-             adrs_a);
-
-    Address adrs_b;
-    adrs_b.setType(AddrType::Tree);
-    uint8_t root_b[maxN], auth_b[maxTreeHeight * maxN];
-    auto gen_batch = [&](uint8_t *out, uint32_t start, uint32_t count) {
-        EXPECT_LE(count, hashLaneWidth());
-        for (uint32_t j = 0; j < count; ++j) {
-            auto leaf = leaf_bytes(start + j);
-            std::memcpy(out + j * p.n, leaf.data(), p.n);
-        }
-    };
-    treehash(root_b, auth_b, ctx, leaf_idx, 0, height, gen_batch,
-             adrs_b);
-
-    EXPECT_EQ(hexEncode(ByteSpan(root_a, p.n)),
-              hexEncode(ByteSpan(root_b, p.n)));
-    EXPECT_EQ(hexEncode(ByteSpan(auth_a, height * p.n)),
-              hexEncode(ByteSpan(auth_b, height * p.n)));
-}
-
-TEST(BatchedTreehash, RejectsOversizedHeight)
-{
-    const Params &p = Params::sphincs128f();
-    Context ctx = makeContext(p, 19);
-    Address adrs;
-    uint8_t root[maxN];
-    auto no_leaves = [](uint8_t *, uint32_t, uint32_t) {};
-    EXPECT_THROW(treehash(root, nullptr, ctx, 0, 0, maxTreeHeight + 1,
-                          no_leaves, adrs),
-                 std::invalid_argument);
 }
 
 /**
