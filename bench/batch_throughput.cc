@@ -3,8 +3,8 @@
  * Real batch-signing throughput: scalar loop vs BatchSigner with
  * 1/2/4/8 workers across the Table I parameter sets. This is the
  * executed counterpart of the Fig. 13 batch-size sweep — wall-clock
- * signatures per second instead of simulated makespan — with the
- * engine's predicted makespan printed alongside the measured one.
+ * signatures per second instead of simulated makespan, which stays in
+ * the model tables (fig13_block_sweep), out of these measured rows.
  *
  * A second table sweeps workers (1/2/4/8/16) x lane width
  * (scalar/x8/x16) x batching mode: "within" caps the coalescing
@@ -104,9 +104,7 @@ main(int argc, char **argv)
     }
 
     TextTable table({"set", "mode", "msgs", "wall ms", "sigs/s",
-                     "vs scalar", "steals", "predicted ms"});
-    const auto dev = gpu::DeviceProps::rtx4090();
-    EngineCache engines;
+                     "vs scalar", "steals"});
 
     bool first_set = true;
     for (const Params &p : Params::all()) {
@@ -121,11 +119,6 @@ main(int argc, char **argv)
         auto kp = scheme.keygenFromSeed(rng.bytes(3 * p.n));
         auto msgs = makeBatch(rng, msgs_per_set);
 
-        core::SignEngine &engine =
-            engines.get(p, dev, core::EngineConfig::hero());
-        const double predicted_ms =
-            engine.signBatchTiming(msgs_per_set).makespanUs / 1000.0;
-
         // Reference: one thread with the lane engine forced onto
         // the portable scalar backend (same batched code, scalar
         // lanes — compression counts match the pre-batching path
@@ -139,7 +132,7 @@ main(int argc, char **argv)
         table.addRow({p.name, "scalar lanes (SIMD off)",
                       std::to_string(ref.iters),
                       fmtF(ref.wallUs / 1000.0), fmtF(ref_rate, 1),
-                      fmtX(1.0), "0", fmtF(predicted_ms)});
+                      fmtX(1.0), "0"});
 
         // Honest labeling: without an active SIMD backend this row
         // measures the same portable lanes as the reference.
@@ -151,13 +144,11 @@ main(int argc, char **argv)
                                       : "single thread (no SIMD)";
         table.addRow({p.name, xn_label, std::to_string(xn.iters),
                       fmtF(xn.wallUs / 1000.0), fmtF(xn_rate, 1),
-                      fmtX(xn_rate / ref_rate), "0",
-                      fmtF(predicted_ms)});
+                      fmtX(xn_rate / ref_rate), "0"});
 
         for (unsigned workers : {1u, 2u, 4u, 8u}) {
             BatchSignerConfig cfg;
             cfg.workers = workers;
-            cfg.shards = engine.config().streams;
             BatchSigner signer(p, kp.sk, cfg);
             auto reqs = signRequests(msgs);
             auto futures = signer.submitMany(reqs);
@@ -171,16 +162,13 @@ main(int argc, char **argv)
                  std::to_string(st.jobs),
                  fmtF(st.wallUs / 1000.0), fmtF(st.sigsPerSec, 1),
                  fmtX(st.sigsPerSec / ref_rate),
-                 std::to_string(st.crossShardPops),
-                 fmtF(predicted_ms)});
+                 std::to_string(st.crossShardPops)});
         }
     }
 
     emit(opt, "Batch signing throughput (real threads)", table,
          "hardware threads: " +
-             std::to_string(std::thread::hardware_concurrency()) +
-             "; predicted = simulated GPU makespan "
-             "(signBatchTiming) at the same batch size");
+             std::to_string(std::thread::hardware_concurrency()));
 
     // --- Worker x lane-width x batching-mode scaling --------------
     struct Width

@@ -8,13 +8,13 @@
  *                          [--set NAME] [--tenants T]
  *
  * Verify rows per parameter set:
- *   - "scalar verify (SIMD off)": sphincs::verify with the lane hash
- *     engine forced onto scalar lanes — the pre-batching reference
- *     every other row is measured against (same convention as
- *     batch_throughput).
- *   - "scalar verify": the per-signature loop with the SIMD backend
- *     active (its WOTS chain recompute already fills lanes within one
- *     signature).
+ *   - "scalar verify (SIMD off)": one-at-a-time SphincsPlus::verify
+ *     with the lane hash engine forced onto scalar lanes — the
+ *     reference every other row is measured against (same convention
+ *     as batch_throughput).
+ *   - "scalar verify": the same one-at-a-time loop with the SIMD
+ *     backend active; each verify() is a verifyBatch() group of one,
+ *     so lanes fill only within its own signature.
  *   - "verifyBatch xN": the batched path, lanes filled across
  *     signatures. The acceptance bar is >= 2x the scalar reference,
  *     single-threaded.
@@ -74,9 +74,9 @@ makeBatch(Rng &rng, unsigned count)
 }
 
 /**
- * Scalar per-signature verification, duration-bounded through the
- * shared bench/tuner measurement helper (tune::measureFor). One
- * iteration verifies one signature.
+ * One-at-a-time verification, duration-bounded through the shared
+ * bench/tuner measurement helper (tune::measureFor). One iteration
+ * verifies one signature.
  */
 MeasureResult
 scalarVerifyRun(const SphincsPlus &scheme, const sphincs::PublicKey &pk,

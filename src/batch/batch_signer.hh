@@ -50,7 +50,7 @@ namespace herosign::batch
 struct BatchSignerConfig
 {
     unsigned workers = 4;  ///< worker threads (clamped to >= 1)
-    unsigned shards = 4;   ///< queue shards; engine wires streams here
+    unsigned shards = 4;   ///< queue shards
     /// Jobs one worker coalesces into a single signing group (one
     /// signGroup() call, hash lanes filled across signatures).
     /// 0 = auto (the dispatched hash-lane width); 1 disables

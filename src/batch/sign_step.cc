@@ -22,11 +22,9 @@ SignStep::counts() const
 }
 
 ByteVec
-SignStep::guard(const SigningKey &key, ByteVec sig, SignJob &job)
+SignStep::resign(const SigningKey &key, SignJob &job)
 {
     const SignRequest &req = job.req;
-    if (key.scheme.verify(key.ctx, req.message, sig, key.pk))
-        return sig;
     job.traceFlags |= telemetry::kSpanGuardMismatch;
     guardMismatches_.fetch_add(1, std::memory_order_relaxed);
     if (sha256LanesQuarantineActiveTier() != LaneBackend::Scalar) {
@@ -43,10 +41,11 @@ SignStep::guard(const SigningKey &key, ByteVec sig, SignJob &job)
 }
 
 ByteVec
-SignStep::release(const SigningKey &key, ByteVec sig, SignJob &job)
+SignStep::release(const SigningKey &key, ByteVec sig, bool verified,
+                  SignJob &job)
 {
-    if (verifyAfterSign_)
-        sig = guard(key, std::move(sig), job);
+    if (verifyAfterSign_ && !verified)
+        sig = resign(key, job);
     // Always stamped (equal to CryptoEnd when the guard is off) so
     // the callback stage has a stable left edge.
     tel_.stamp(job.trace, telemetry::Stage::GuardEnd);

@@ -9,9 +9,11 @@
  *    hash lanes fill across the group's signatures as well as within
  *    each one. A throw fails every member (the front ends reject a
  *    wrong-length opt_rand at submit, so no member can fail alone);
- *  - with verify-after-sign on, every signature is checked before
- *    release (guard()); the completion callback runs last, isolated
- *    from the signature it is handed.
+ *  - with verify-after-sign on, the group's signatures are checked
+ *    before release by one SphincsPlus::verifyBatch() call, and a
+ *    member that fails it is re-signed on its own (resign()); the
+ *    completion callback runs last, isolated from the signature it is
+ *    handed.
  */
 
 #ifndef HEROSIGN_BATCH_SIGN_STEP_HH
@@ -85,7 +87,7 @@ class SignStep
 
   private:
     /**
-     * Verify @p sig before release. On a mismatch the SIMD tier that
+     * Replace a signature that failed the guard. The SIMD tier that
      * produced it is quarantined process-wide (a faulty vector unit
      * is not one worker's private problem) and the job is re-signed
      * on the forced-scalar path, which the simd-lane fault seam
@@ -94,10 +96,14 @@ class SignStep
      *         verify — bytes that might leak WOTS one-time key
      *         material are never released
      */
-    ByteVec guard(const SigningKey &key, ByteVec sig, SignJob &job);
+    ByteVec resign(const SigningKey &key, SignJob &job);
 
-    /** Guard (when armed), stamp GuardEnd, run the callback. */
-    ByteVec release(const SigningKey &key, ByteVec sig, SignJob &job);
+    /**
+     * Re-sign (guard armed and @p verified false), stamp GuardEnd,
+     * run the callback.
+     */
+    ByteVec release(const SigningKey &key, ByteVec sig, bool verified,
+                    SignJob &job);
 
     const std::string owner_;
     telemetry::Telemetry &tel_;
@@ -130,8 +136,18 @@ SignStep::run(WorkerPlane<Job> &plane, unsigned worker,
         rands[i] = jobs[i]->req.optRand;
         tel_.stamp(jobs[i]->trace, telemetry::Stage::CryptoStart);
     }
+    bool verified[kMax] = {};
     try {
         key.scheme.signGroup(key.ctx, key.sk, msgs, rands, sigs, n);
+        for (Job *job : jobs)
+            tel_.stamp(job->trace, telemetry::Stage::CryptoEnd);
+        if (verifyAfterSign_) {
+            ByteSpan spans[kMax];
+            for (unsigned i = 0; i < n; ++i)
+                spans[i] = sigs[i];
+            key.scheme.verifyBatch(key.ctx, msgs, spans, key.pk, verified,
+                                   n);
+        }
     } catch (...) {
         for (Job *job : jobs)
             plane.fail(*job, std::current_exception());
@@ -141,12 +157,11 @@ SignStep::run(WorkerPlane<Job> &plane, unsigned worker,
         laneGroups_.fetch_add(1, std::memory_order_relaxed);
         crossSignJobs_.fetch_add(n, std::memory_order_relaxed);
     }
-    for (Job *job : jobs)
-        tel_.stamp(job->trace, telemetry::Stage::CryptoEnd);
     for (unsigned i = 0; i < n; ++i) {
         try {
             plane.succeed(worker, *jobs[i],
-                          release(key, std::move(sigs[i]), *jobs[i]));
+                          release(key, std::move(sigs[i]), verified[i],
+                                  *jobs[i]));
         } catch (...) {
             plane.fail(*jobs[i], std::current_exception());
         }

@@ -116,7 +116,8 @@ void forsSign(uint8_t *sig, uint8_t *pk_out, const uint8_t *mhash,
 
 /**
  * Verification direction: recompute the FORS public key from a
- * signature.
+ * signature, one tree at a time. The library verifies through
+ * forsPkFromSigXN(); this is the reference the tests check it with.
  */
 void forsPkFromSig(uint8_t *pk_out, const uint8_t *sig,
                    const uint8_t *mhash, const Context &ctx,

@@ -137,7 +137,9 @@ void treehash(uint8_t *root, uint8_t *auth_path, const Context &ctx,
               const LeafFn &gen_leaf, Address &tree_adrs);
 
 /**
- * Verification-side root reconstruction from a leaf and its auth path.
+ * Verification-side root reconstruction from a leaf and its auth
+ * path, one node at a time (forsPkFromSig() and the tests' reference
+ * verifier; the library's verify path uses computeRootXN()).
  */
 void computeRoot(uint8_t *root, const Context &ctx, const uint8_t *leaf,
                  uint32_t leaf_idx, uint32_t idx_offset,

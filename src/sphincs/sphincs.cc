@@ -273,57 +273,9 @@ SphincsPlus::verify(const Context &ctx, ByteSpan msg, ByteSpan sig,
                     const PublicKey &pk) const
 {
     requireContext(ctx, pk.pkSeed, "verify");
-    const unsigned n = params_.n;
-    if (sig.size() != params_.sigBytes())
-        return false;
-
-    const uint8_t *in = sig.data();
-
-    ByteSpan r(in, n);
-    in += n;
-
-    ByteVec digest(params_.msgDigestBytes());
-    hashMessage(digest, ctx, r, pk.pkRoot, msg);
-    DigestSplit split = splitDigest(params_, digest);
-
-    uint64_t idx_tree = split.idxTree;
-    uint32_t idx_leaf = split.idxLeaf;
-
-    Address fors_adrs;
-    fors_adrs.setLayer(0);
-    fors_adrs.setTree(idx_tree);
-    fors_adrs.setType(AddrType::ForsTree);
-    fors_adrs.setKeypair(idx_leaf);
-
-    uint8_t root[maxN];
-    forsPkFromSig(root, in, split.forsMsg.data(), ctx, fors_adrs);
-    in += params_.forsSigBytes();
-
-    for (uint32_t layer = 0; layer < params_.layers; ++layer) {
-        Address wots_adrs;
-        wots_adrs.setLayer(layer);
-        wots_adrs.setTree(idx_tree);
-        wots_adrs.setType(AddrType::WotsHash);
-        wots_adrs.setKeypair(idx_leaf);
-
-        uint8_t leaf[maxN];
-        wotsPkFromSig(leaf, in, root, ctx, wots_adrs);
-        in += params_.wotsSigBytes();
-
-        Address tree_adrs;
-        tree_adrs.setLayer(layer);
-        tree_adrs.setTree(idx_tree);
-        tree_adrs.setType(AddrType::Tree);
-        computeRoot(root, ctx, leaf, idx_leaf, 0, in,
-                    params_.treeHeight(), tree_adrs);
-        in += params_.treeHeight() * n;
-
-        idx_leaf = static_cast<uint32_t>(idx_tree &
-                                         maskBits(params_.treeHeight()));
-        idx_tree >>= params_.treeHeight();
-    }
-
-    return ctEqual(ByteSpan(root, n), pk.pkRoot);
+    bool ok = false;
+    verifyBatch(ctx, &msg, &sig, pk, &ok, 1);
+    return ok;
 }
 
 namespace
@@ -430,15 +382,6 @@ verifyGroupXN(const Context &ctx, const Params &p, const ByteSpan msgs[],
 }
 
 } // namespace
-
-void
-SphincsPlus::verifyBatch(const ByteSpan msgs[], const ByteSpan sigs[],
-                         const PublicKey &pk, bool ok[],
-                         size_t count) const
-{
-    Context ctx(params_, pk.pkSeed, {}, variant_);
-    verifyBatch(ctx, msgs, sigs, pk, ok, count);
-}
 
 std::vector<uint8_t>
 SphincsPlus::verifyBatch(const Context &ctx,

@@ -2,8 +2,9 @@
  * @file
  * SPHINCS+ top level: key generation, signing and verification on
  * the CPU, with the hot loops batched across SIMD hash lanes. Every
- * signature comes from one group routine, signGroup(): sign() is a
- * group of one. This is the library's correctness oracle — the
+ * signature comes from one group routine, signGroup(), and every
+ * verdict from another, verifyBatch(): sign() and verify() are groups
+ * of one. This is the library's correctness oracle — the
  * GPU-simulated engines must produce byte-identical signatures.
  */
 
@@ -141,7 +142,12 @@ class SphincsPlus
                    const ByteSpan msgs[], const ByteSpan opt_rands[],
                    ByteVec sigs[], unsigned count) const;
 
-    /** Verify @p sig over @p msg under @p pk. */
+    /**
+     * Verify @p sig over @p msg under @p pk: verifyBatch() with a
+     * group of one, so a single verification and a batch run the same
+     * FORS / WOTS+ / Merkle walk. A signature of the wrong length is
+     * false.
+     */
     bool verify(ByteSpan msg, ByteSpan sig, const PublicKey &pk) const;
 
     /**
@@ -154,20 +160,16 @@ class SphincsPlus
                 const PublicKey &pk) const;
 
     /**
-     * Batched verification: ok[i] = verify(msgs[i], sigs[i], pk) for
-     * i < count, with the hot loops (WOTS+ chain recompute, FORS leaf
-     * and auth-path walks, Merkle root reconstruction) advanced across
-     * signatures in hash lanes of the dispatched width (16 on
-     * AVX-512, 8 elsewhere). Results are bool-identical to
-     * the scalar path on every backend; partial lane groups fall back
-     * to the scalar hash calls so digests match bit for bit.
-     */
-    void verifyBatch(const ByteSpan msgs[], const ByteSpan sigs[],
-                     const PublicKey &pk, bool ok[], size_t count) const;
-
-    /**
-     * Batched verification reusing a warm context, checked like
-     * verify(const Context &, ...).
+     * Batched verification reusing a warm context (checked like
+     * verify(const Context &, ...)): ok[i] is whether sigs[i] is a
+     * valid signature over msgs[i] under @p pk, for i < count.
+     * Wrong-length signatures are false up front; the rest verify in
+     * lane groups of the dispatched width (16 on AVX-512, 8
+     * elsewhere), each group walking FORS and the hypertree layers in
+     * lockstep so the WOTS+ chain recompute, the FORS leaf and
+     * auth-path walks and the Merkle root reconstruction fill hash
+     * lanes across signatures. Verdicts and compression counts are
+     * the same at every lane width.
      */
     void verifyBatch(const Context &ctx, const ByteSpan msgs[],
                      const ByteSpan sigs[], const PublicKey &pk,

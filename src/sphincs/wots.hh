@@ -102,7 +102,8 @@ void wotsSign(uint8_t *sig, const uint8_t *msg, const Context &ctx,
 
 /**
  * Recompute the compressed public key from a signature (verification
- * direction).
+ * direction). The library verifies through wotsPkFromSigXN(); this
+ * is the reference the tests check it with.
  */
 void wotsPkFromSig(uint8_t *pk_out, const uint8_t *sig,
                    const uint8_t *msg, const Context &ctx,

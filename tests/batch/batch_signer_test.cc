@@ -3,8 +3,7 @@
  * BatchSigner correctness: batch output must byte-match sequential
  * scalar SphincsPlus signing for the same seeds — for every Table I
  * parameter set, for any worker count, with callbacks and opt_rand —
- * plus drain-on-empty / zero-message edge cases and the SignEngine
- * signBatch wiring (measured vs predicted makespan).
+ * plus drain-on-empty / zero-message edge cases.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include "batch/batch_signer.hh"
 #include "batch_test_util.hh"
 #include "common/hex.hh"
-#include "core/engine.hh"
 
 using namespace herosign;
 using namespace herosign::batch;
@@ -321,41 +319,4 @@ TEST(BatchSigner, DestructorCompletesPendingFutures)
         ByteVec sig = futures[i].get();
         EXPECT_EQ(sig.size(), p.sigBytes()) << i;
     }
-}
-
-TEST(EngineSignBatch, MatchesScalarAndReportsBothMakespans)
-{
-    const Params &p = Params::sphincs128f();
-    SphincsPlus scheme(p);
-    auto kp = scheme.keygenFromSeed(fixedSeed(p));
-    core::SignEngine engine(p, gpu::DeviceProps::rtx4090(),
-                            core::EngineConfig::hero());
-
-    auto msgs = patternBatch(4);
-    auto out = engine.signBatch(msgs, kp.sk, 2);
-    ASSERT_EQ(out.signatures.size(), msgs.size());
-    for (size_t i = 0; i < msgs.size(); ++i) {
-        EXPECT_EQ(hexEncode(out.signatures[i]),
-                  hexEncode(scheme.sign(msgs[i], kp.sk)))
-            << i;
-    }
-    EXPECT_EQ(out.workers, 2u);
-    EXPECT_EQ(out.stats.jobs, msgs.size());
-    EXPECT_GT(out.measuredMakespanUs, 0.0);
-    EXPECT_GT(out.predictedMakespanUs, 0.0);
-    EXPECT_EQ(out.measuredMakespanUs, out.stats.wallUs);
-}
-
-TEST(EngineSignBatch, EmptyBatch)
-{
-    const Params p = miniParams();
-    SphincsPlus scheme(p);
-    auto kp = scheme.keygenFromSeed(fixedSeed(p));
-    core::SignEngine engine(p, gpu::DeviceProps::rtx4090(),
-                            core::EngineConfig::hero());
-
-    auto out = engine.signBatch({}, kp.sk);
-    EXPECT_TRUE(out.signatures.empty());
-    EXPECT_EQ(out.stats.jobs, 0u);
-    EXPECT_EQ(out.predictedMakespanUs, 0.0);
 }

@@ -1,11 +1,13 @@
 /**
  * @file
  * Batched lane-parallel verification equivalence: verifyBatch must be
- * bool-identical to scalar verify for every lane composition — full
- * and ragged groups, mixed valid/invalid lanes, malformed lengths —
- * on the AVX-512 (width 16), AVX2 (width 8) and forced-scalar hash
- * backends, and the kernel-level XN primitives must be byte-identical
- * to their scalar counterparts at every lane count 1..16.
+ * bool-identical to the scalar reference walk (reference_verify.hh)
+ * for every lane composition — full and ragged groups, mixed
+ * valid/invalid lanes, malformed lengths — on the AVX-512 (width 16),
+ * AVX2 (width 8) and forced-scalar hash backends; verify(), a group of
+ * one, must match that reference in verdict and compression count;
+ * and the kernel-level XN primitives must be byte-identical to their
+ * scalar counterparts at every lane count 1..16.
  * Golden-vector checks pin the real Table I parameter sets.
  */
 
@@ -13,10 +15,15 @@
 
 #include <memory>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "../batch/batch_test_util.hh"
 #include "common/hex.hh"
 #include "hash/sha256xN.hh"
+#include "lane_tiers.hh"
+#include "reference_verify.hh"
 #include "sphincs/fors.hh"
 #include "sphincs/merkle.hh"
 #include "sphincs/sphincs.hh"
@@ -27,6 +34,9 @@ using namespace herosign;
 using namespace herosign::sphincs;
 using batchtest::miniParams;
 using batchtest::patternMsg;
+using test::laneTiers;
+using test::referenceVerify;
+using test::ScopedTier;
 
 namespace
 {
@@ -49,8 +59,10 @@ runVerifyBatch(const SphincsPlus &scheme, const PublicKey &pk,
         m[i] = ByteSpan(msgs[i]);
         s[i] = ByteSpan(sigs[i]);
     }
+    Context ctx(scheme.params(), pk.pkSeed, {});
     std::unique_ptr<bool[]> ok(new bool[msgs.size()]);
-    scheme.verifyBatch(m.data(), s.data(), pk, ok.get(), msgs.size());
+    scheme.verifyBatch(ctx, m.data(), s.data(), pk, ok.get(),
+                       msgs.size());
     return std::vector<bool>(ok.get(), ok.get() + msgs.size());
 }
 
@@ -60,8 +72,9 @@ expectBatchMatchesScalar(const SphincsPlus &scheme, const PublicKey &pk,
                          const std::vector<ByteVec> &sigs)
 {
     auto batch = runVerifyBatch(scheme, pk, msgs, sigs);
+    Context ctx(scheme.params(), pk.pkSeed, {});
     for (size_t i = 0; i < msgs.size(); ++i) {
-        EXPECT_EQ(batch[i], scheme.verify(msgs[i], sigs[i], pk))
+        EXPECT_EQ(batch[i], referenceVerify(ctx, msgs[i], sigs[i], pk))
             << "lane " << i;
     }
 }
@@ -154,6 +167,58 @@ TEST(VerifyBatch, WarmContextOverloadAndMismatchThrows)
                  std::invalid_argument);
     EXPECT_EQ(scheme.sign(sign_ctx, msg, kp.sk),
               scheme.sign(msg, kp.sk));
+}
+
+TEST(VerifyBatch, VerifyOfOneMatchesReferenceVerdictAndCompressions)
+{
+    // verify() is verifyBatch() of one: it must reach the reference
+    // walk's verdict with exactly the reference's hash work, on a good
+    // signature and on a corruption in each signature region.
+    const Params mini = miniParams();
+    for (const Params *p : {&mini, &Params::sphincs128f(),
+                            &Params::sphincs192f(),
+                            &Params::sphincs256f()}) {
+        SphincsPlus scheme(*p);
+        auto kp = scheme.keygenFromSeed(batchtest::fixedSeed(*p));
+        const ByteVec msg = patternMsg(33);
+        const ByteVec good = scheme.sign(msg, kp.sk);
+        Context ctx(*p, kp.pk.pkSeed, {});
+
+        const size_t n = p->n;
+        const size_t fors_end = n + p->forsSigBytes();
+        const std::pair<const char *, size_t> flips[] = {
+            {"randomizer R", 0},
+            {"FORS", n + p->forsSigBytes() / 2},
+            {"bottom WOTS+ chain", fors_end + n * (p->wotsLen() / 2)},
+            {"top auth path", good.size() - 1},
+        };
+        std::vector<std::pair<std::string, ByteVec>> cases{
+            {"good", good}};
+        for (const auto &[region, at] : flips) {
+            ByteVec bad = good;
+            bad[at] ^= 0x20;
+            cases.emplace_back(region, std::move(bad));
+        }
+
+        for (const auto &tier : laneTiers) {
+            ScopedTier pin(tier);
+            for (const auto &[name, sig] : cases) {
+                const uint64_t c0 = Sha256::compressionCount();
+                const bool ref = referenceVerify(ctx, msg, sig, kp.pk);
+                const uint64_t c1 = Sha256::compressionCount();
+                const bool got = scheme.verify(ctx, msg, sig, kp.pk);
+                const uint64_t c2 = Sha256::compressionCount();
+                // The reference must still tell good from corrupted,
+                // or agreeing with it would prove nothing.
+                EXPECT_EQ(ref, name == "good")
+                    << p->name << " " << tier.name << " " << name;
+                EXPECT_EQ(got, ref)
+                    << p->name << " " << tier.name << " " << name;
+                EXPECT_EQ(c2 - c1, c1 - c0)
+                    << p->name << " " << tier.name << " " << name;
+            }
+        }
+    }
 }
 
 TEST(VerifyBatch, KernelPrimitivesByteIdenticalToScalar)

@@ -4,9 +4,10 @@
  * flip a bit in every n-byte block of a golden signature — the
  * randomizer, each FORS secret value and auth-path node, every WOTS+
  * chain of every hypertree layer, and every hypertree auth-path node
- * — and assert that the scalar verifier and the batched lane-parallel
- * verifier both reject, and always agree. Valid lanes interleaved
- * into every batched group prove corruption cannot leak across lanes.
+ * — and assert that the scalar reference walk (reference_verify.hh)
+ * and the batched lane-parallel verifier both reject, and always
+ * agree. Valid lanes interleaved into every batched group prove
+ * corruption cannot leak across lanes.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +17,12 @@
 #include <string>
 #include <vector>
 
+#include "reference_verify.hh"
 #include "sphincs/sphincs.hh"
 
 using namespace herosign;
 using namespace herosign::sphincs;
+using test::referenceVerify;
 
 namespace
 {
@@ -78,6 +81,7 @@ TEST_P(VerifyNegative, EveryCorruptedRegionRejectsOnBothPaths)
                       (p.wotsLen() + p.treeHeight()));
 
     Context ctx(p, kp.pk.pkSeed, {});
+    ASSERT_TRUE(referenceVerify(ctx, msg, good, kp.pk));
     ByteVec flipped = good;
     std::vector<ByteVec> group_store;
     std::vector<size_t> group_blocks;
@@ -109,8 +113,8 @@ TEST_P(VerifyNegative, EveryCorruptedRegionRejectsOnBothPaths)
     for (size_t b = 0; b < blocks; ++b) {
         const size_t byte = b * p.n;
         flipped[byte] ^= 0x01;
-        EXPECT_FALSE(scheme.verify(ctx, msg, flipped, kp.pk))
-            << p.name << ": scalar verify accepted corrupted "
+        EXPECT_FALSE(referenceVerify(ctx, msg, flipped, kp.pk))
+            << p.name << ": reference verify accepted corrupted "
             << regionOf(p, b);
         group_store.push_back(flipped);
         group_blocks.push_back(b);
