@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark micro benches for the hash substrate: native vs
- * PTX-flavoured SHA-256, HMAC and MGF1, the lane engine, and the
- * seeded single-block thashX shape signing spends its time in.
+ * PTX-flavoured SHA-256, HMAC and MGF1, the lane engine, the seeded
+ * single-block thashX shape, and the fused WOTS+ chain walk signing
+ * spends most of its time in.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "hash/sha256xN.hh"
 #include "hash/sha512.hh"
 #include "sphincs/thashx.hh"
+#include "sphincs/wots.hh"
 
 using namespace herosign;
 
@@ -185,6 +187,68 @@ BM_ThashXOneBlockX16(benchmark::State &state)
     runThashXOneBlock(state, false, false);
 }
 
+/**
+ * The WOTS+ chain layer's ceiling: 16 full chains of w-1 steps of one
+ * keypair (n = state.range(0): 16 or 32) through advanceChains(), the
+ * dispatcher every chain walk in signing and verification takes, under
+ * one lane tier. Items are compressions, so items/s reads directly
+ * against BM_ThashXOneBlockX16/16 (one F per lane per call, with the
+ * block repacked from an Address and the digest copied out).
+ */
+void
+runChainWalk(benchmark::State &state, bool force_scalar, bool no_avx512)
+{
+    using namespace herosign::sphincs;
+    const Params &p = state.range(0) == 32 ? Params::sphincs256f()
+                                           : Params::sphincs128f();
+    Rng rng(5);
+    const ByteVec pk_seed = rng.bytes(p.n);
+    const ByteVec sk_seed = rng.bytes(p.n);
+    const Context ctx(p, pk_seed, sk_seed);
+
+    constexpr unsigned chains = 16;
+    uint32_t start[maxWotsLen] = {};
+    uint32_t end[maxWotsLen] = {};
+    for (unsigned i = 0; i < chains; ++i)
+        end[i] = p.wotsW - 1;
+    ByteVec vals = rng.bytes(static_cast<size_t>(p.wotsLen()) * p.n);
+    WotsChainSet set;
+    set.adrs.setType(AddrType::WotsHash);
+    set.vals = vals.data();
+    set.start = start;
+    set.end = end;
+
+    sha256LanesForceScalar(force_scalar);
+    sha256LanesDisableAvx512(no_avx512);
+    for (auto _ : state) {
+        advanceChains(&set, 1, ctx);
+        benchmark::DoNotOptimize(vals.data());
+        benchmark::ClobberMemory();
+    }
+    sha256LanesForceScalar(false);
+    sha256LanesDisableAvx512(false);
+    state.SetItemsProcessed(state.iterations() * chains *
+                            (p.wotsW - 1));
+}
+
+void
+BM_ChainWalkScalar(benchmark::State &state)
+{
+    runChainWalk(state, true, false);
+}
+
+void
+BM_ChainWalkX8(benchmark::State &state)
+{
+    runChainWalk(state, false, true);
+}
+
+void
+BM_ChainWalkX16(benchmark::State &state)
+{
+    runChainWalk(state, false, false);
+}
+
 void
 BM_Mgf1(benchmark::State &state)
 {
@@ -207,6 +271,9 @@ BENCHMARK(BM_Sha256x8ScalarLanes)->Arg(64)->Arg(576)->Arg(4096);
 BENCHMARK(BM_ThashXOneBlockScalar)->DenseRange(1, 16);
 BENCHMARK(BM_ThashXOneBlockX8)->DenseRange(1, 16);
 BENCHMARK(BM_ThashXOneBlockX16)->DenseRange(1, 16);
+BENCHMARK(BM_ChainWalkScalar)->Arg(16)->Arg(32);
+BENCHMARK(BM_ChainWalkX8)->Arg(16)->Arg(32);
+BENCHMARK(BM_ChainWalkX16)->Arg(16)->Arg(32);
 BENCHMARK(BM_Sha512)->Arg(128)->Arg(4096);
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
 BENCHMARK(BM_Mgf1)->Arg(34)->Arg(49);

@@ -24,11 +24,13 @@
  *   clause  := 'seed=' u64
  *            | point (':' key '=' u64)*
  *   point   := 'hash-compress'   bit-flip one lane's chaining state
- *            | 'simd-lane'       corrupt one real SIMD-produced digest
- *                                in a fused one-block hash batch,
- *                                padded tails included (never a ghost
- *                                lane, never fires on a scalar lane,
- *                                so a forced-scalar path is immune)
+ *            | 'simd-lane'       corrupt one real SIMD-produced result
+ *                                per fused one-block hash batch or
+ *                                WOTS+ chain-kernel call (one hit per
+ *                                call, not per chain step), padded
+ *                                tails included (never a ghost lane,
+ *                                never fires on a scalar lane, so a
+ *                                forced-scalar path is immune)
  *            | 'worker-throw'    throw FaultInjected from a worker
  *                                loop, outside the per-job handlers
  *            | 'queue-stall'     sleep a worker before it processes a
@@ -68,7 +70,7 @@ class FaultInjected : public std::runtime_error
 /** The named injection points (grammar names in fault.cc). */
 enum class FaultPoint : unsigned {
     HashCompress,  ///< bit-flip a lane's SHA-256 chaining state
-    SimdLane,      ///< corrupt one SIMD lane digest in thashx
+    SimdLane,      ///< corrupt one SIMD lane (thashx, chain kernel)
     WorkerThrow,   ///< exception escaping a worker loop
     QueueStall,    ///< stall a worker before a processing pass
     CallbackThrow, ///< exception from a completion callback

@@ -31,6 +31,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <cstdint>
+
 // GCC implements the AVX-512 cast/extract intrinsics on top of
 // _mm256_undefined_si256(), which GCC 12 flags as used-uninitialized
 // under -Werror (PR105593). The uninitialized upper half is by design
@@ -185,20 +188,25 @@ loadMessage16(__m512i w[16], const uint8_t *const blocks[16])
     }
 }
 
-/** Expand the schedule and run the 64 rounds; s is updated in place. */
+/** Message schedule words [from, 64) from their predecessors. */
 inline void
-rounds16(__m512i s[8], __m512i w[64])
+expand16(__m512i w[64], int from = 16)
 {
-    for (int i = 16; i < 64; ++i) {
+    for (int i = from; i < 64; ++i) {
         w[i] = _mm512_add_epi32(
             _mm512_add_epi32(w[i - 16], sigma0(w[i - 15])),
             _mm512_add_epi32(w[i - 7], sigma1(w[i - 2])));
     }
+}
 
-    __m512i a = s[0], b = s[1], c = s[2], d = s[3];
-    __m512i e = s[4], f = s[5], g = s[6], h = s[7];
+/** Rounds [from, to) on the working variables v = a..h, in place. */
+inline void
+roundRange(__m512i v[8], const __m512i w[64], int from, int to)
+{
+    __m512i a = v[0], b = v[1], c = v[2], d = v[3];
+    __m512i e = v[4], f = v[5], g = v[6], h = v[7];
 
-    for (int i = 0; i < 64; ++i) {
+    for (int i = from; i < to; ++i) {
         __m512i t1 = _mm512_add_epi32(
             _mm512_add_epi32(
                 _mm512_add_epi32(h, bigSigma1(e)),
@@ -217,14 +225,27 @@ rounds16(__m512i s[8], __m512i w[64])
         a = _mm512_add_epi32(t1, t2);
     }
 
-    s[0] = _mm512_add_epi32(s[0], a);
-    s[1] = _mm512_add_epi32(s[1], b);
-    s[2] = _mm512_add_epi32(s[2], c);
-    s[3] = _mm512_add_epi32(s[3], d);
-    s[4] = _mm512_add_epi32(s[4], e);
-    s[5] = _mm512_add_epi32(s[5], f);
-    s[6] = _mm512_add_epi32(s[6], g);
-    s[7] = _mm512_add_epi32(s[7], h);
+    v[0] = a;
+    v[1] = b;
+    v[2] = c;
+    v[3] = d;
+    v[4] = e;
+    v[5] = f;
+    v[6] = g;
+    v[7] = h;
+}
+
+/** Expand the schedule and run the 64 rounds; s is updated in place. */
+inline void
+rounds16(__m512i s[8], __m512i w[64])
+{
+    expand16(w);
+    __m512i v[8];
+    for (int i = 0; i < 8; ++i)
+        v[i] = s[i];
+    roundRange(v, w, 0, 64);
+    for (int i = 0; i < 8; ++i)
+        s[i] = _mm512_add_epi32(s[i], v[i]);
 }
 
 /**
@@ -317,6 +338,104 @@ sha256Final16SeededAvx512(const std::array<uint32_t, 8> &mid,
             bswap32Half(hi[l]));
     }
 }
+
+template <unsigned NW>
+void
+sha256ChainF16SeededAvx512(const Sha256State &mid, ChainLanes &lanes)
+{
+    static_assert(NW == 4 || NW == 6 || NW == 8, "n must be 16/24/32");
+
+    // Captures go straight to memory by masked store, so they hold no
+    // registers across the step loop.
+    __m512i v[NW];
+    for (unsigned k = 0; k < NW; ++k) {
+        v[k] = _mm512_loadu_si512(lanes.val[k]);
+        _mm512_storeu_si512(lanes.cap[k], v[k]);
+    }
+
+    // The loop runs over absolute positions, so the hash index is the
+    // same in every lane and lanes outside their range sit out by
+    // mask.
+    uint32_t first = UINT32_MAX, last = 0;
+    for (unsigned l = 0; l < 16; ++l) {
+        if (lanes.start[l] < lanes.end[l]) {
+            first = std::min(first, lanes.start[l]);
+            last = std::max(last, lanes.end[l]);
+        }
+    }
+
+    __m512i s0[8];
+    for (int i = 0; i < 8; ++i)
+        s0[i] = _mm512_set1_epi32(static_cast<int>(mid.h[i]));
+
+    // Words 0-4 (the address prefix) are fixed for the call: run
+    // rounds 0-4 and the constant half of w[16..19] once.
+    __m512i w[64];
+    for (int i = 0; i < 5; ++i)
+        w[i] = _mm512_loadu_si512(lanes.prefix[i]);
+    __m512i head[8];
+    for (int i = 0; i < 8; ++i)
+        head[i] = s0[i];
+    __m512i sched_head[4];
+    for (int i = 0; i < 4; ++i)
+        sched_head[i] = _mm512_add_epi32(w[i], sigma0(w[i + 1]));
+    roundRange(head, w, 0, 5);
+
+    const __m512i start = _mm512_loadu_si512(lanes.start);
+    const __m512i end = _mm512_loadu_si512(lanes.end);
+    const __m512i cap_pos = _mm512_loadu_si512(lanes.capPos);
+    const __m512i pad = _mm512_set1_epi32(0x8000);
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i bit_len = _mm512_set1_epi32(
+        static_cast<int>((mid.bytesCompressed + 22 + 4 * NW) * 8));
+
+    for (uint32_t p = first; p < last; ++p) {
+        w[5] = _mm512_or_si512(
+            _mm512_set1_epi32(static_cast<int>(p << 16)),
+            _mm512_srli_epi32(v[0], 16));
+        for (unsigned k = 1; k < NW; ++k)
+            w[5 + k] = _mm512_or_si512(_mm512_slli_epi32(v[k - 1], 16),
+                                       _mm512_srli_epi32(v[k], 16));
+        w[5 + NW] =
+            _mm512_or_si512(_mm512_slli_epi32(v[NW - 1], 16), pad);
+        for (unsigned i = 6 + NW; i < 15; ++i)
+            w[i] = zero;
+        w[15] = bit_len;
+
+        for (int i = 16; i < 20; ++i)
+            w[i] = _mm512_add_epi32(
+                sched_head[i - 16],
+                _mm512_add_epi32(w[i - 7], sigma1(w[i - 2])));
+        expand16(w, 20);
+
+        __m512i x[8];
+        for (int i = 0; i < 8; ++i)
+            x[i] = head[i];
+        roundRange(x, w, 5, 64);
+
+        const __m512i pv = _mm512_set1_epi32(static_cast<int>(p));
+        const __mmask16 live = _mm512_cmple_epu32_mask(start, pv) &
+                               _mm512_cmplt_epu32_mask(pv, end);
+        const __mmask16 grab =
+            live & _mm512_cmpeq_epi32_mask(
+                       cap_pos, _mm512_set1_epi32(static_cast<int>(p + 1)));
+        for (unsigned k = 0; k < NW; ++k) {
+            const __m512i dk = _mm512_add_epi32(s0[k], x[k]);
+            v[k] = _mm512_mask_mov_epi32(v[k], live, dk);
+            _mm512_mask_storeu_epi32(lanes.cap[k], grab, dk);
+        }
+    }
+
+    for (unsigned k = 0; k < NW; ++k)
+        _mm512_storeu_si512(lanes.val[k], v[k]);
+}
+
+template void sha256ChainF16SeededAvx512<4>(const Sha256State &,
+                                            ChainLanes &);
+template void sha256ChainF16SeededAvx512<6>(const Sha256State &,
+                                            ChainLanes &);
+template void sha256ChainF16SeededAvx512<8>(const Sha256State &,
+                                            ChainLanes &);
 
 } // namespace herosign
 

@@ -29,6 +29,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "hash/sha256_tables.hh"
 #include "hash/sha256xN.hh"
 
@@ -153,20 +156,25 @@ loadTransposed8(__m256i w[8], const uint8_t *const blocks[8], size_t off)
     transpose8x8(w);
 }
 
-/** Expand the schedule and run the 64 rounds; s is updated in place. */
+/** Message schedule words [from, 64) from their predecessors. */
 inline void
-rounds8(__m256i s[8], __m256i w[64])
+expand8(__m256i w[64], int from = 16)
 {
-    for (int i = 16; i < 64; ++i) {
+    for (int i = from; i < 64; ++i) {
         w[i] = _mm256_add_epi32(
             _mm256_add_epi32(w[i - 16], sigma0(w[i - 15])),
             _mm256_add_epi32(w[i - 7], sigma1(w[i - 2])));
     }
+}
 
-    __m256i a = s[0], b = s[1], c = s[2], d = s[3];
-    __m256i e = s[4], f = s[5], g = s[6], h = s[7];
+/** Rounds [from, to) on the working variables v = a..h, in place. */
+inline void
+roundRange(__m256i v[8], const __m256i w[64], int from, int to)
+{
+    __m256i a = v[0], b = v[1], c = v[2], d = v[3];
+    __m256i e = v[4], f = v[5], g = v[6], h = v[7];
 
-    for (int i = 0; i < 64; ++i) {
+    for (int i = from; i < to; ++i) {
         __m256i t1 = _mm256_add_epi32(
             _mm256_add_epi32(
                 _mm256_add_epi32(h, bigSigma1(e)),
@@ -185,14 +193,39 @@ rounds8(__m256i s[8], __m256i w[64])
         a = _mm256_add_epi32(t1, t2);
     }
 
-    s[0] = _mm256_add_epi32(s[0], a);
-    s[1] = _mm256_add_epi32(s[1], b);
-    s[2] = _mm256_add_epi32(s[2], c);
-    s[3] = _mm256_add_epi32(s[3], d);
-    s[4] = _mm256_add_epi32(s[4], e);
-    s[5] = _mm256_add_epi32(s[5], f);
-    s[6] = _mm256_add_epi32(s[6], g);
-    s[7] = _mm256_add_epi32(s[7], h);
+    v[0] = a;
+    v[1] = b;
+    v[2] = c;
+    v[3] = d;
+    v[4] = e;
+    v[5] = f;
+    v[6] = g;
+    v[7] = h;
+}
+
+/** Expand the schedule and run the 64 rounds; s is updated in place. */
+inline void
+rounds8(__m256i s[8], __m256i w[64])
+{
+    expand8(w);
+    __m256i v[8];
+    for (int i = 0; i < 8; ++i)
+        v[i] = s[i];
+    roundRange(v, w, 0, 64);
+    for (int i = 0; i < 8; ++i)
+        s[i] = _mm256_add_epi32(s[i], v[i]);
+}
+
+inline __m256i
+load8(const uint32_t *p)
+{
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+}
+
+inline void
+store8(uint32_t *p, __m256i x)
+{
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), x);
 }
 
 } // namespace
@@ -246,6 +279,107 @@ sha256Final8SeededAvx2(const std::array<uint32_t, 8> &mid,
                             bswap32(s[l]));
     }
 }
+
+template <unsigned NW>
+void
+sha256ChainF8SeededAvx2(const Sha256State &mid, ChainLanes &lanes)
+{
+    static_assert(NW == 4 || NW == 6 || NW == 8, "n must be 16/24/32");
+
+    // Captures go straight to memory by masked store, so they hold no
+    // registers across the step loop.
+    __m256i v[NW];
+    for (unsigned k = 0; k < NW; ++k) {
+        v[k] = load8(lanes.val[k]);
+        store8(lanes.cap[k], v[k]);
+    }
+
+    // Same shape as the AVX-512 kernel: one uniform position loop,
+    // lanes outside their range held by mask.
+    uint32_t first = UINT32_MAX, last = 0;
+    for (unsigned l = 0; l < 8; ++l) {
+        if (lanes.start[l] < lanes.end[l]) {
+            first = std::min(first, lanes.start[l]);
+            last = std::max(last, lanes.end[l]);
+        }
+    }
+
+    __m256i s0[8];
+    for (int i = 0; i < 8; ++i)
+        s0[i] = _mm256_set1_epi32(static_cast<int>(mid.h[i]));
+
+    // Rounds 0-4 and the constant half of w[16..19] depend only on
+    // the address prefix: once per call.
+    __m256i w[64];
+    for (int i = 0; i < 5; ++i)
+        w[i] = load8(lanes.prefix[i]);
+    __m256i head[8];
+    for (int i = 0; i < 8; ++i)
+        head[i] = s0[i];
+    __m256i sched_head[4];
+    for (int i = 0; i < 4; ++i)
+        sched_head[i] = _mm256_add_epi32(w[i], sigma0(w[i + 1]));
+    roundRange(head, w, 0, 5);
+
+    // Positions stay far below 2^31, so signed compares are exact.
+    const __m256i start = load8(lanes.start);
+    const __m256i end = load8(lanes.end);
+    const __m256i cap_pos = load8(lanes.capPos);
+    const __m256i pad = _mm256_set1_epi32(0x8000);
+    const __m256i zero = _mm256_setzero_si256();
+    const __m256i bit_len = _mm256_set1_epi32(
+        static_cast<int>((mid.bytesCompressed + 22 + 4 * NW) * 8));
+
+    for (uint32_t p = first; p < last; ++p) {
+        w[5] = _mm256_or_si256(
+            _mm256_set1_epi32(static_cast<int>(p << 16)),
+            _mm256_srli_epi32(v[0], 16));
+        for (unsigned k = 1; k < NW; ++k)
+            w[5 + k] = _mm256_or_si256(_mm256_slli_epi32(v[k - 1], 16),
+                                       _mm256_srli_epi32(v[k], 16));
+        w[5 + NW] =
+            _mm256_or_si256(_mm256_slli_epi32(v[NW - 1], 16), pad);
+        for (unsigned i = 6 + NW; i < 15; ++i)
+            w[i] = zero;
+        w[15] = bit_len;
+
+        for (int i = 16; i < 20; ++i)
+            w[i] = _mm256_add_epi32(
+                sched_head[i - 16],
+                _mm256_add_epi32(w[i - 7], sigma1(w[i - 2])));
+        expand8(w, 20);
+
+        __m256i x[8];
+        for (int i = 0; i < 8; ++i)
+            x[i] = head[i];
+        roundRange(x, w, 5, 64);
+
+        const __m256i pv = _mm256_set1_epi32(static_cast<int>(p));
+        const __m256i live =
+            _mm256_andnot_si256(_mm256_cmpgt_epi32(start, pv),
+                                _mm256_cmpgt_epi32(end, pv));
+        const __m256i grab = _mm256_and_si256(
+            live,
+            _mm256_cmpeq_epi32(
+                cap_pos, _mm256_set1_epi32(static_cast<int>(p + 1))));
+        for (unsigned k = 0; k < NW; ++k) {
+            const __m256i dk = _mm256_add_epi32(s0[k], x[k]);
+            v[k] = _mm256_blendv_epi8(v[k], dk, live);
+            _mm256_maskstore_epi32(reinterpret_cast<int *>(lanes.cap[k]),
+                                   grab, dk);
+        }
+    }
+
+    for (unsigned k = 0; k < NW; ++k)
+        store8(lanes.val[k], v[k]);
+}
+
+template void sha256ChainF8SeededAvx2<4>(const Sha256State &,
+                                         ChainLanes &);
+template void sha256ChainF8SeededAvx2<6>(const Sha256State &,
+                                         ChainLanes &);
+template void sha256ChainF8SeededAvx2<8>(const Sha256State &,
+                                         ChainLanes &);
 
 } // namespace herosign
 

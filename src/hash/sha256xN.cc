@@ -371,6 +371,117 @@ Sha256Lanes::final(uint8_t *const out[])
             storeBe32(out[l] + 4 * i, h_[l][i]);
 }
 
+void
+ChainLanes::loadValue(unsigned l, const uint8_t *in, unsigned n)
+{
+    uint8_t bytes[32] = {};
+    std::memcpy(bytes, in, n);
+    for (unsigned k = 0; k < 8; ++k)
+        val[k][l] = loadBe32(bytes + 4 * k);
+}
+
+namespace
+{
+
+void
+storeWords(const uint32_t words[8][maxSha256Lanes], unsigned l,
+           uint8_t *out, unsigned n)
+{
+    uint8_t bytes[32];
+    for (unsigned k = 0; k < 8; ++k)
+        storeBe32(bytes + 4 * k, words[k][l]);
+    std::memcpy(out, bytes, n);
+}
+
+/**
+ * The portable chain walk: each live lane in turn keeps its block
+ * and rewrites only the hash index and the value per step, one scalar
+ * compression of @p variant each.
+ */
+void
+chainFPortable(const Sha256State &mid, ChainLanes &lanes, unsigned n,
+               unsigned count, Sha256Variant variant)
+{
+    const uint64_t bit_len = (mid.bytesCompressed + 22 + n) * 8;
+    for (unsigned l = 0; l < count; ++l) {
+        for (unsigned k = 0; k < 8; ++k)
+            lanes.cap[k][l] = lanes.val[k][l];
+        if (lanes.start[l] >= lanes.end[l])
+            continue;
+
+        uint8_t block[Sha256::blockSize] = {};
+        for (unsigned i = 0; i < 5; ++i)
+            storeBe32(block + 4 * i, lanes.prefix[i][l]);
+        storeWords(lanes.val, l, block + 22, n);
+        block[22 + n] = 0x80;
+        storeBe64(block + Sha256::blockSize - 8, bit_len);
+
+        for (uint32_t p = lanes.start[l]; p < lanes.end[l]; ++p) {
+            block[20] = static_cast<uint8_t>(p >> 8);
+            block[21] = static_cast<uint8_t>(p);
+            std::array<uint32_t, 8> h = mid.h;
+            if (variant == Sha256Variant::Native)
+                sha256CompressNative(h, block);
+            else
+                sha256CompressPtx(h, block);
+            uint8_t digest[Sha256::digestSize];
+            for (unsigned i = 0; i < 8; ++i)
+                storeBe32(digest + 4 * i, h[i]);
+            std::memcpy(block + 22, digest, n);
+            if (p + 1 == lanes.capPos[l]) {
+                uint8_t bytes[32] = {};
+                std::memcpy(bytes, digest, n);
+                for (unsigned k = 0; k < 8; ++k)
+                    lanes.cap[k][l] = loadBe32(bytes + 4 * k);
+            }
+        }
+        lanes.loadValue(l, block + 22, n);
+    }
+}
+
+} // namespace
+
+void
+ChainLanes::storeValue(unsigned l, uint8_t *out, unsigned n) const
+{
+    storeWords(val, l, out, n);
+}
+
+void
+ChainLanes::storeCapture(unsigned l, uint8_t *out, unsigned n) const
+{
+    storeWords(cap, l, out, n);
+}
+
+void
+sha256ChainF(unsigned call_width, unsigned n, unsigned count,
+             const Sha256State &mid, ChainLanes &lanes,
+             Sha256Variant variant)
+{
+    if (call_width == 0) {
+        chainFPortable(mid, lanes, n, count, variant);
+        return;
+    }
+    const bool x16 = call_width == 16;
+    switch (n) {
+    case 16:
+        x16 ? sha256ChainF16SeededAvx512<4>(mid, lanes)
+            : sha256ChainF8SeededAvx2<4>(mid, lanes);
+        return;
+    case 24:
+        x16 ? sha256ChainF16SeededAvx512<6>(mid, lanes)
+            : sha256ChainF8SeededAvx2<6>(mid, lanes);
+        return;
+    case 32:
+        x16 ? sha256ChainF16SeededAvx512<8>(mid, lanes)
+            : sha256ChainF8SeededAvx2<8>(mid, lanes);
+        return;
+    default:
+        throw std::invalid_argument(
+            "sha256ChainF: SIMD chain kernels need n of 16, 24 or 32");
+    }
+}
+
 #ifndef HEROSIGN_HAVE_AVX2
 void
 sha256Compress8Avx2(std::array<uint32_t, 8>[8], const uint8_t *const[8])
@@ -386,6 +497,21 @@ sha256Final8SeededAvx2(const std::array<uint32_t, 8> &,
     throw std::logic_error(
         "sha256Final8SeededAvx2: AVX2 backend not compiled in");
 }
+
+template <unsigned NW>
+void
+sha256ChainF8SeededAvx2(const Sha256State &, ChainLanes &)
+{
+    throw std::logic_error(
+        "sha256ChainF8SeededAvx2: AVX2 backend not compiled in");
+}
+
+template void sha256ChainF8SeededAvx2<4>(const Sha256State &,
+                                         ChainLanes &);
+template void sha256ChainF8SeededAvx2<6>(const Sha256State &,
+                                         ChainLanes &);
+template void sha256ChainF8SeededAvx2<8>(const Sha256State &,
+                                         ChainLanes &);
 #endif
 
 #ifndef HEROSIGN_HAVE_AVX512
@@ -404,6 +530,21 @@ sha256Final16SeededAvx512(const std::array<uint32_t, 8> &,
     throw std::logic_error(
         "sha256Final16SeededAvx512: AVX-512 backend not compiled in");
 }
+
+template <unsigned NW>
+void
+sha256ChainF16SeededAvx512(const Sha256State &, ChainLanes &)
+{
+    throw std::logic_error(
+        "sha256ChainF16SeededAvx512: AVX-512 backend not compiled in");
+}
+
+template void sha256ChainF16SeededAvx512<4>(const Sha256State &,
+                                            ChainLanes &);
+template void sha256ChainF16SeededAvx512<6>(const Sha256State &,
+                                            ChainLanes &);
+template void sha256ChainF16SeededAvx512<8>(const Sha256State &,
+                                            ChainLanes &);
 #endif
 
 } // namespace herosign

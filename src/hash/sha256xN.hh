@@ -34,6 +34,14 @@
  * Dispatch order: AVX-512 (16 lanes) → AVX2 (8 lanes) → portable
  * (8 lanes, so batch shapes match the historical scalar path).
  *
+ * Beside the generic engine, each SIMD backend carries two fused
+ * SPHINCS+ kernels: the seeded single-block kernel (one F/PRF call
+ * per lane) and the WOTS+ chain kernel (ChainLanes,
+ * sha256ChainF16SeededAvx512 / sha256ChainF8SeededAvx2), which walks
+ * every step of up to 16 chains with the chain values kept in vector
+ * registers: the next block is built from 16-bit shifts of the
+ * previous digest, and only the hash-index halfword changes per step.
+ *
  * All lanes always absorb the same number of bytes per call — exactly
  * the shape of SPHINCS+ tweakable-hash batches, where every lane
  * hashes adrs_c || input of a common length. A batch whose lane count
@@ -286,6 +294,87 @@ void sha256Compress16Avx512(std::array<uint32_t, 8> state[16],
 void sha256Final16SeededAvx512(const std::array<uint32_t, 8> &mid,
                                const uint8_t *const blocks[16],
                                uint8_t *const digests[16]);
+
+/**
+ * Fused WOTS+ chain lanes: up to maxSha256Lanes independent F chains
+ * in transposed, word-per-row form, the in/out state of one chain
+ * call. Every chain step hashes the 64-byte block
+ *
+ *     adrs_c (22 B) || value (n B) || 0x80 || 0...0 || bit length
+ *
+ * on top of the per-key seeded mid-state, and only two things change
+ * from one step to the next: the hash-index halfword at bytes 20-21
+ * and the value. Because the value sits at byte 22, block word 5 and
+ * on are 16-bit shifts of the previous digest's words; the first five
+ * words (layer, tree, type, keypair, chain) stay fixed per lane.
+ *
+ * Lane l steps positions [start[l], end[l]): the step at position p
+ * runs with hash index p and leaves the chain at position p + 1. A
+ * lane with start == end is dead for the call (ghost lanes of a
+ * padded call are dead). cap[·][l] receives the value at position
+ * capPos[l] when start[l] <= capPos[l] <= end[l]; it is left at the
+ * entry value otherwise.
+ */
+struct alignas(64) ChainLanes
+{
+    /** Big-endian words 0..4 of each lane's compressed address. */
+    uint32_t prefix[5][maxSha256Lanes];
+    /** Value words, big-endian, zero-padded past n bytes (in/out). */
+    uint32_t val[8][maxSha256Lanes];
+    /** Captured value words (out). */
+    uint32_t cap[8][maxSha256Lanes];
+    uint32_t start[maxSha256Lanes];
+    uint32_t end[maxSha256Lanes];
+    uint32_t capPos[maxSha256Lanes];
+
+    /** Load lane @p l's n-byte value into val. */
+    void loadValue(unsigned l, const uint8_t *in, unsigned n);
+    /** Store lane @p l's n-byte value from val. */
+    void storeValue(unsigned l, uint8_t *out, unsigned n) const;
+    /** Store lane @p l's n-byte captured value from cap. */
+    void storeCapture(unsigned l, uint8_t *out, unsigned n) const;
+};
+
+/**
+ * True when the SIMD chain kernels cover value length @p n (16, 24 or
+ * 32 bytes — whole 64-bit halves, so the block layout is fixed per
+ * n/4). Other lengths run the portable walk.
+ */
+inline bool
+chainKernelCovers(unsigned n)
+{
+    return n == 16 || n == 24 || n == 32;
+}
+
+/**
+ * Fused 16-lane WOTS+ chain kernel (AVX-512): walks every position
+ * from the smallest live start to the largest live end in vector
+ * registers — no block repacking, no transposes, no digest copies
+ * between steps. Lanes outside their [start, end) hold their value by
+ * mask; capture positions copy out by mask. @p NW is n / 4 (4, 6 or
+ * 8). Same contract as the one-block kernels: check
+ * laneDispatch().avx512 first; the caller charges compressions.
+ */
+template <unsigned NW>
+void sha256ChainF16SeededAvx512(const Sha256State &mid,
+                                ChainLanes &lanes);
+
+/** The 8-lane AVX2 twin of sha256ChainF16SeededAvx512 (lanes 0-7). */
+template <unsigned NW>
+void sha256ChainF8SeededAvx2(const Sha256State &mid, ChainLanes &lanes);
+
+/**
+ * Run one chain call over lanes [0, @p count) of @p lanes with value
+ * length @p n: @p call_width 16 or 8 selects the AVX-512 or AVX2
+ * kernel (chainKernelCovers(n) must hold, and the ghost lanes past
+ * count must be dead); 0 runs the portable walk, one scalar
+ * compression of @p variant per live lane and step, for any n up to
+ * 32. Every tier leaves bit-identical values and captures. Does not
+ * touch Sha256::compressionCount() — callers account.
+ */
+void sha256ChainF(unsigned call_width, unsigned n, unsigned count,
+                  const Sha256State &mid, ChainLanes &lanes,
+                  Sha256Variant variant = Sha256Variant::Native);
 
 } // namespace herosign
 

@@ -18,13 +18,14 @@ namespace
 constexpr size_t oneBlockMax = Sha256::blockSize - 9;
 
 /**
- * Fused single-block batch: every hot batched call (WOTS chain step,
- * PRF, FORS leaf) hashes adrs_c || input of 22 + n <= 54 bytes on top
- * of the per-keypair mid-state — exactly one padded compression per
- * lane. Building the padded blocks directly and running the widest
- * compressions available skips the incremental engine entirely; the
- * SIMD kernels additionally broadcast the shared mid-state instead of
- * transposing per-lane copies of it. The batch is consumed in SIMD
+ * Fused single-block batch: every hot batched call outside the WOTS+
+ * chains (FORS PRFs and leaves) hashes adrs_c || input of
+ * 22 + n <= 54 bytes on top of the per-keypair mid-state — exactly
+ * one padded compression per lane. Building the padded blocks
+ * directly and running the widest compressions available skips the
+ * incremental engine entirely; the SIMD kernels additionally
+ * broadcast the shared mid-state instead of transposing per-lane
+ * copies of it. The batch is consumed in SIMD
  * calls while two or more real lanes remain (laneCallWidth); a lone
  * last lane runs scalar. Digests and compression counts are
  * identical for every split.

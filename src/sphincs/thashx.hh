@@ -3,9 +3,11 @@
  * Lane-batched SPHINCS+ tweakable hashes: up to maxHashLanes
  * independent T/F/PRF calls advanced in lockstep on the width-generic
  * SHA-256 lane engine (hash/sha256xN.hh). This is the CPU analogue of
- * HERO-Sign's batched GPU hash calls (paper §III): WOTS+ chains, FORS
- * leaves and Merkle leaf layers are all independent calls of one
- * shape, so they fill SIMD lanes exactly.
+ * HERO-Sign's batched GPU hash calls (paper §III): FORS leaves,
+ * Merkle node layers and the WOTS+ public-key compressions are all
+ * independent calls of one shape, so they fill SIMD lanes exactly.
+ * WOTS+ chain walks take the fused chain dispatcher instead
+ * (advanceChains in sphincs/wots.hh).
  *
  * Every function takes a lane count `count <= maxHashLanes` and is
  * width-agnostic: the batch runs as full SIMD calls of the dispatched
@@ -58,7 +60,7 @@ hashLaneWidth()
  *        T_l calls, or the PRF message length)
  * @param count active lanes, 1..maxHashLanes
  *
- * out[l] may alias in[l] (chain steps hash in place).
+ * out[l] may alias in[l] (a call may hash in place).
  */
 void thashX(uint8_t *const out[], const Context &ctx,
             const Address adrs[], const uint8_t *const in[],

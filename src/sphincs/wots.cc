@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/fault.hh"
+#include "hash/sha256xN.hh"
 #include "sphincs/thash.hh"
 #include "sphincs/thashx.hh"
 
@@ -31,97 +33,56 @@ baseW(uint32_t *out, size_t out_len, const uint8_t *in, unsigned lg_w)
     }
 }
 
-/**
- * Upper bound on chains advanced together: maxHashLanes leaves of len
- * chains.
- */
+/** Upper bound on the chains of one advanceChains() call. */
 constexpr unsigned maxBatchChains = maxHashLanes * maxWotsLen;
 
+/** Positions 0, 1 and w-1 for every chain of a keypair. */
+struct ChainBounds
+{
+    uint32_t zero[maxWotsLen] = {};
+    uint32_t one[maxWotsLen];
+    uint32_t top[maxWotsLen];
+
+    explicit ChainBounds(const Params &p)
+    {
+        std::fill(one, one + maxWotsLen, 1u);
+        std::fill(top, top + maxWotsLen, p.wotsW - 1);
+    }
+};
+
 /**
- * Advance @p num independent WOTS+ chains in lockstep lanes of the
- * dispatched width W (hashLaneWidth(): 16 on AVX-512, 8 elsewhere).
- * Chain c steps its value vals[c] (n bytes, in place) from position
- * pos[c] to end[c]; adrs[c] must have layer/tree/type/keypair/chain
- * set (the hash position is managed here). Lanes retire as chains
- * reach their end and are refilled from the pending chains, so lanes
- * stay full while at least W chains remain; the ragged tail falls
- * back to narrower kernels and scalar calls, keeping digests and
- * compression counts identical to the scalar path.
- *
- * When @p cap_out is non-null, chain c with cap_out[c] set copies its
- * value to cap_out[c] the moment its position reaches cap_pos[c]
- * (including a position already at the capture point on entry). The
- * chain keeps advancing to end[c] afterwards — this is how a signing
- * leaf's wotsSign() bytes fall out of its pk-generation walk.
+ * Fill every chain value of @p set with sk_seed and turn it into the
+ * chain's secret start value: PRF(pk_seed, sk_seed, adrs) is one F
+ * step at hash index 0 under a WOTS_PRF address, so it runs through
+ * the same chain dispatcher.
  */
 void
-advanceChains(uint8_t *const vals[], Address adrs[], uint32_t pos[],
-              const uint32_t end[], unsigned num, const Context &ctx,
-              uint8_t *const cap_out[] = nullptr,
-              const uint32_t cap_pos[] = nullptr)
+seedChains(WotsChainSet &set, uint32_t layer, uint64_t tree,
+           uint32_t keypair, const ChainBounds &bounds,
+           const Context &ctx)
 {
     const unsigned n = ctx.params().n;
-    unsigned active[maxBatchChains];
-    unsigned nactive = 0;
-    for (unsigned c = 0; c < num; ++c) {
-        if (cap_out && cap_out[c] && pos[c] == cap_pos[c])
-            std::memcpy(cap_out[c], vals[c], n);
-        if (pos[c] < end[c])
-            active[nactive++] = c;
-    }
-
-    const unsigned width = hashLaneWidth();
-    Address lane_adrs[maxHashLanes];
-    uint8_t *outs[maxHashLanes];
-    const uint8_t *ins[maxHashLanes];
-    while (nactive > 0) {
-        const unsigned m = std::min(nactive, width);
-        for (unsigned j = 0; j < m; ++j) {
-            const unsigned c = active[j];
-            adrs[c].setHash(pos[c]);
-            lane_adrs[j] = adrs[c];
-            outs[j] = vals[c];
-            ins[j] = vals[c];
-        }
-        thashFX(outs, ctx, lane_adrs, ins, m);
-
-        // Retire finished lanes, compacting survivors to the front so
-        // pending chains slot in next round.
-        unsigned w = 0;
-        for (unsigned j = 0; j < m; ++j) {
-            const unsigned c = active[j];
-            ++pos[c];
-            if (cap_out && cap_out[c] && pos[c] == cap_pos[c])
-                std::memcpy(cap_out[c], vals[c], n);
-            if (pos[c] < end[c])
-                active[w++] = c;
-        }
-        for (unsigned j = m; j < nactive; ++j)
-            active[w++] = active[j];
-        nactive = w;
-    }
+    for (unsigned i = 0; i < ctx.params().wotsLen(); ++i)
+        std::memcpy(set.vals + static_cast<size_t>(i) * n,
+                    ctx.skSeed().data(), n);
+    set.adrs = Address();
+    set.adrs.setLayer(layer);
+    set.adrs.setTree(tree);
+    set.adrs.setType(AddrType::WotsPrf);
+    set.adrs.setKeypair(keypair);
+    set.start = bounds.zero;
+    set.end = bounds.one;
+    set.capOut = nullptr;
+    set.capPos = nullptr;
 }
 
-/**
- * Derive the secret chain-start values for chains [0, num) described
- * by @p adrs (WOTS_PRF addresses, hash position 0), one dispatched
- * lane width per PRF batch, into vals[c].
- */
+/** Retarget @p set from its PRF address to the WOTS_HASH chains. */
 void
-deriveChainSks(uint8_t *const vals[], const Address adrs[], unsigned num,
-               const Context &ctx)
+toHashChains(WotsChainSet &set)
 {
-    const unsigned width = hashLaneWidth();
-    uint8_t *outs[maxHashLanes];
-    Address lane_adrs[maxHashLanes];
-    for (unsigned g = 0; g < num; g += width) {
-        const unsigned m = std::min(width, num - g);
-        for (unsigned j = 0; j < m; ++j) {
-            lane_adrs[j] = adrs[g + j];
-            outs[j] = vals[g + j];
-        }
-        prfAddrX(outs, ctx, lane_adrs, m);
-    }
+    const uint32_t keypair = set.adrs.keypair();
+    set.adrs.setType(AddrType::WotsHash);
+    set.adrs.setKeypair(keypair);
 }
 
 } // namespace
@@ -172,73 +133,131 @@ wotsChainSk(uint8_t *out, const Context &ctx, Address &adrs,
 }
 
 void
+advanceChains(const WotsChainSet sets[], unsigned count,
+              const Context &ctx)
+{
+    if (count > maxHashLanes)
+        throw std::invalid_argument("advanceChains: count must be <= 16");
+    const Params &p = ctx.params();
+    const unsigned len = p.wotsLen();
+    const unsigned n = p.n;
+
+    // Queue every live chain keyed by (start, end, id) so each call's
+    // lanes start, and mostly retire, together. A dead chain
+    // (start == end) only has its capture to serve.
+    uint32_t keys[maxBatchChains];
+    unsigned live = 0;
+    uint32_t prefix[maxHashLanes][5];
+    for (unsigned s = 0; s < count; ++s) {
+        const WotsChainSet &cs = sets[s];
+        Address base = cs.adrs;
+        base.setChain(0);
+        base.setHash(0);
+        const auto adrs_c = base.compressed();
+        for (unsigned w = 0; w < 5; ++w)
+            prefix[s][w] = loadBe32(adrs_c.data() + 4 * w);
+        for (unsigned i = 0; i < len; ++i) {
+            if (cs.start[i] < cs.end[i])
+                keys[live++] = cs.start[i] << 24 | cs.end[i] << 16 |
+                               (s * len + i);
+            else if (cs.capOut && cs.capPos[i] == cs.start[i])
+                std::memcpy(cs.capOut + static_cast<size_t>(i) * n,
+                            cs.vals + static_cast<size_t>(i) * n, n);
+        }
+    }
+    std::sort(keys, keys + live);
+
+    const LaneDispatch d = laneDispatch();
+    const bool simd = ctx.variant() == Sha256Variant::Native &&
+                      chainKernelCovers(n);
+    ChainLanes lanes{};
+    for (unsigned g = 0; g < live;) {
+        // Full calls of the dispatched width, a padded call for a
+        // ragged tail of two or more chains, a lone chain scalar.
+        const unsigned call =
+            simd ? laneCallWidth(d.avx2, d.avx512, live - g) : 0;
+        const unsigned m = std::min(live - g, call ? call : d.width);
+        uint64_t steps = 0;
+        for (unsigned l = 0; l < std::max(call, m); ++l) {
+            if (l >= m) {
+                lanes.start[l] = lanes.end[l] = 0; // ghost lane
+                continue;
+            }
+            const unsigned id = keys[g + l] & 0xffff;
+            const unsigned i = id % len;
+            const WotsChainSet &cs = sets[id / len];
+            // Chain indices (< maxWotsLen) live in the chain field's
+            // low halfword, the high half of address word 4.
+            for (unsigned w = 0; w < 5; ++w)
+                lanes.prefix[w][l] = prefix[id / len][w];
+            lanes.prefix[4][l] |= i << 16;
+            lanes.loadValue(l, cs.vals + static_cast<size_t>(i) * n, n);
+            lanes.start[l] = cs.start[i];
+            lanes.end[l] = cs.end[i];
+            lanes.capPos[l] = cs.capOut ? cs.capPos[i] : UINT32_MAX;
+            steps += cs.end[i] - cs.start[i];
+        }
+        sha256ChainF(call, n, m, ctx.seededState(), lanes, ctx.variant());
+
+        // Fault seam: a simd-lane rule corrupts the result of one real
+        // lane of a SIMD chain call — never a ghost lane, never the
+        // portable walk, so a forced-scalar (or quarantined) re-sign is
+        // immune by construction.
+        if (call && FaultInjector::fire(FaultPoint::SimdLane)) {
+            FaultInjector &inj = FaultInjector::instance();
+            const unsigned victim =
+                inj.laneFor(inj.fired(FaultPoint::SimdLane), m);
+            lanes.val[0][victim] ^= 1u << 24;
+        }
+
+        for (unsigned l = 0; l < m; ++l) {
+            const unsigned id = keys[g + l] & 0xffff;
+            const unsigned i = id % len;
+            const WotsChainSet &cs = sets[id / len];
+            lanes.storeValue(l, cs.vals + static_cast<size_t>(i) * n, n);
+            if (cs.capOut && cs.capPos[i] >= cs.start[i] &&
+                cs.capPos[i] <= cs.end[i])
+                lanes.storeCapture(
+                    l, cs.capOut + static_cast<size_t>(i) * n, n);
+        }
+        Sha256::addCompressions(steps);
+        g += m;
+    }
+}
+
+void
 wotsLeafBatch(const Context &ctx, const WotsLeafReq reqs[],
               unsigned count)
 {
     const Params &p = ctx.params();
     const unsigned len = p.wotsLen();
     const unsigned n = p.n;
+    const ChainBounds bounds(p);
 
-    // Chain c (= local leaf * len + i) lives at chains + c * n, so
-    // each leaf's chains stay contiguous for its T_len compression.
+    // Leaf j's chains live at chains + j * len * n, contiguous for
+    // its T_len compression.
     uint8_t chains[maxBatchChains * maxN];
-    uint8_t *vals[maxBatchChains] = {};
-    Address adrs[maxBatchChains];
-    uint32_t pos[maxBatchChains];
-    uint32_t end[maxBatchChains];
-    uint8_t *cap_out[maxBatchChains];
-    uint32_t cap_pos[maxBatchChains];
+    WotsChainSet sets[maxHashLanes];
 
     for (unsigned base = 0; base < count; base += maxHashLanes) {
         const unsigned m = std::min(maxHashLanes, count - base);
-        const unsigned total = m * len;
-        bool any_capture = false;
-
         for (unsigned j = 0; j < m; ++j) {
             const WotsLeafReq &r = reqs[base + j];
-            Address prf_base;
-            prf_base.setLayer(r.layer);
-            prf_base.setTree(r.tree);
-            prf_base.setType(AddrType::WotsPrf);
-            prf_base.setKeypair(r.keypair);
-            for (unsigned i = 0; i < len; ++i) {
-                const unsigned c = j * len + i;
-                vals[c] = chains + static_cast<size_t>(c) * n;
-                adrs[c] = prf_base;
-                adrs[c].setChain(i);
-                adrs[c].setHash(0);
-                if (r.sigOut) {
-                    any_capture = true;
-                    cap_out[c] = r.sigOut + static_cast<size_t>(i) * n;
-                    cap_pos[c] = r.lengths[i];
-                } else {
-                    cap_out[c] = nullptr;
-                    cap_pos[c] = 0;
-                }
-            }
+            sets[j].vals = chains + static_cast<size_t>(j) * len * n;
+            seedChains(sets[j], r.layer, r.tree, r.keypair, bounds, ctx);
         }
-        deriveChainSks(vals, adrs, total, ctx);
+        advanceChains(sets, m, ctx);
 
-        // All m * len chains advance the full w-1 steps in lockstep;
-        // capture chains copy out their signature value in passing.
+        // All m * len chains walk the full w-1 steps; signing leaves
+        // capture their signature values in passing.
         for (unsigned j = 0; j < m; ++j) {
             const WotsLeafReq &r = reqs[base + j];
-            Address hash_base;
-            hash_base.setLayer(r.layer);
-            hash_base.setTree(r.tree);
-            hash_base.setType(AddrType::WotsHash);
-            hash_base.setKeypair(r.keypair);
-            for (unsigned i = 0; i < len; ++i) {
-                const unsigned c = j * len + i;
-                adrs[c] = hash_base;
-                adrs[c].setChain(i);
-                pos[c] = 0;
-                end[c] = p.wotsW - 1;
-            }
+            toHashChains(sets[j]);
+            sets[j].end = bounds.top;
+            sets[j].capOut = r.sigOut;
+            sets[j].capPos = r.lengths;
         }
-        advanceChains(vals, adrs, pos, end, total, ctx,
-                      any_capture ? cap_out : nullptr,
-                      any_capture ? cap_pos : nullptr);
+        advanceChains(sets, m, ctx);
 
         // Compress each leaf's public key, batched across leaves.
         Address pk_adrs[maxHashLanes];
@@ -251,7 +270,7 @@ wotsLeafBatch(const Context &ctx, const WotsLeafReq reqs[],
             pk_adrs[j].setType(AddrType::WotsPk);
             pk_adrs[j].setKeypair(r.keypair);
             pks[j] = r.leafOut;
-            ins[j] = chains + static_cast<size_t>(j) * len * n;
+            ins[j] = sets[j].vals;
         }
         thashX(pks, ctx, pk_adrs, ins, static_cast<size_t>(len) * n, m);
     }
@@ -273,37 +292,19 @@ wotsSign(uint8_t *sig, const uint8_t *msg, const Context &ctx,
          const Address &leaf_adrs)
 {
     const Params &p = ctx.params();
-    const unsigned len = p.wotsLen();
-    const unsigned n = p.n;
-
+    const ChainBounds bounds(p);
     uint32_t lengths[maxWotsLen];
     chainLengths(lengths, p, msg);
 
-    uint8_t *vals[maxWotsLen] = {};
-    Address adrs[maxWotsLen];
-    uint32_t pos[maxWotsLen];
+    WotsChainSet set;
+    set.vals = sig;
+    seedChains(set, leaf_adrs.layer(), leaf_adrs.tree(),
+               leaf_adrs.keypair(), bounds, ctx);
+    advanceChains(&set, 1, ctx);
 
-    Address prf_base = leaf_adrs;
-    prf_base.setType(AddrType::WotsPrf);
-    prf_base.setKeypair(leaf_adrs.keypair());
-    for (unsigned i = 0; i < len; ++i) {
-        vals[i] = sig + static_cast<size_t>(i) * n;
-        adrs[i] = prf_base;
-        adrs[i].setChain(i);
-        adrs[i].setHash(0);
-    }
-    deriveChainSks(vals, adrs, len, ctx);
-
-    // Ragged chain lengths: lanes retire early and refill.
-    Address hash_base = leaf_adrs;
-    hash_base.setType(AddrType::WotsHash);
-    hash_base.setKeypair(leaf_adrs.keypair());
-    for (unsigned i = 0; i < len; ++i) {
-        adrs[i] = hash_base;
-        adrs[i].setChain(i);
-        pos[i] = 0;
-    }
-    advanceChains(vals, adrs, pos, lengths, len, ctx);
+    toHashChains(set);
+    set.end = lengths;
+    advanceChains(&set, 1, ctx);
 }
 
 void
@@ -317,36 +318,23 @@ wotsPkFromSigXN(uint8_t *const pk_out[], const uint8_t *const sig[],
     const Params &p = ctx.params();
     const unsigned len = p.wotsLen();
     const unsigned n = p.n;
-    const unsigned total = count * len;
+    const ChainBounds bounds(p);
 
-    // Chain c (= lane * len + i) lives at chains + c * n, so each
-    // lane's recomputed chain heads stay contiguous for its T_len
-    // compression.
+    // Lane l's chains live at chains + l * len * n, so its recomputed
+    // chain heads stay contiguous for its T_len compression.
     uint8_t chains[maxBatchChains * maxN];
-    uint8_t *vals[maxBatchChains] = {};
-    Address adrs[maxBatchChains];
-    uint32_t pos[maxBatchChains];
-    uint32_t end[maxBatchChains];
-
+    uint32_t lengths[maxHashLanes][maxWotsLen];
+    WotsChainSet sets[maxHashLanes];
     for (unsigned l = 0; l < count; ++l) {
-        uint32_t lengths[maxWotsLen];
-        chainLengths(lengths, p, msg[l]);
-        std::memcpy(chains + static_cast<size_t>(l) * len * n, sig[l],
-                    static_cast<size_t>(len) * n);
-
-        Address hash_base = leaf_adrs[l];
-        hash_base.setType(AddrType::WotsHash);
-        hash_base.setKeypair(leaf_adrs[l].keypair());
-        for (unsigned i = 0; i < len; ++i) {
-            const unsigned c = l * len + i;
-            vals[c] = chains + static_cast<size_t>(c) * n;
-            adrs[c] = hash_base;
-            adrs[c].setChain(i);
-            pos[c] = lengths[i];
-            end[c] = p.wotsW - 1;
-        }
+        chainLengths(lengths[l], p, msg[l]);
+        sets[l].vals = chains + static_cast<size_t>(l) * len * n;
+        std::memcpy(sets[l].vals, sig[l], static_cast<size_t>(len) * n);
+        sets[l].adrs = leaf_adrs[l];
+        toHashChains(sets[l]);
+        sets[l].start = lengths[l];
+        sets[l].end = bounds.top;
     }
-    advanceChains(vals, adrs, pos, end, total, ctx);
+    advanceChains(sets, count, ctx);
 
     // One T_len public-key compression per lane, batched.
     Address pk_adrs[maxHashLanes];
@@ -355,7 +343,7 @@ wotsPkFromSigXN(uint8_t *const pk_out[], const uint8_t *const sig[],
         pk_adrs[l] = leaf_adrs[l];
         pk_adrs[l].setType(AddrType::WotsPk);
         pk_adrs[l].setKeypair(leaf_adrs[l].keypair());
-        ins[l] = chains + static_cast<size_t>(l) * len * n;
+        ins[l] = sets[l].vals;
     }
     thashX(pk_out, ctx, pk_adrs, ins, static_cast<size_t>(len) * n,
            count);
@@ -368,27 +356,19 @@ wotsPkFromSig(uint8_t *pk_out, const uint8_t *sig, const uint8_t *msg,
     const Params &p = ctx.params();
     const unsigned len = p.wotsLen();
     const unsigned n = p.n;
-
+    const ChainBounds bounds(p);
     uint32_t lengths[maxWotsLen];
     chainLengths(lengths, p, msg);
 
     uint8_t chains[maxWotsLen * maxN];
     std::memcpy(chains, sig, static_cast<size_t>(len) * n);
-
-    uint8_t *vals[maxWotsLen] = {};
-    Address adrs[maxWotsLen];
-    uint32_t end[maxWotsLen];
-
-    Address hash_base = leaf_adrs;
-    hash_base.setType(AddrType::WotsHash);
-    hash_base.setKeypair(leaf_adrs.keypair());
-    for (unsigned i = 0; i < len; ++i) {
-        vals[i] = chains + static_cast<size_t>(i) * n;
-        adrs[i] = hash_base;
-        adrs[i].setChain(i);
-        end[i] = p.wotsW - 1;
-    }
-    advanceChains(vals, adrs, lengths, end, len, ctx);
+    WotsChainSet set;
+    set.adrs = leaf_adrs;
+    toHashChains(set);
+    set.vals = chains;
+    set.start = lengths;
+    set.end = bounds.top;
+    advanceChains(&set, 1, ctx);
 
     Address pk_adrs = leaf_adrs;
     pk_adrs.setType(AddrType::WotsPk);

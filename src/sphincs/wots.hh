@@ -26,7 +26,9 @@ void chainLengths(uint32_t *lengths, const Params &params,
                   const uint8_t *msg);
 
 /**
- * Advance one WOTS+ hash chain.
+ * Advance one WOTS+ hash chain: the scalar reference walk (one thashF
+ * per step) that the tests and the GPU kernel model check the
+ * batched chain dispatcher against.
  * @param out n bytes; may alias @p in
  * @param in n-byte chain value at position @p start
  * @param start current position in the chain
@@ -36,6 +38,44 @@ void chainLengths(uint32_t *lengths, const Params &params,
  */
 void genChain(uint8_t *out, const uint8_t *in, uint32_t start,
               uint32_t steps, const Context &ctx, Address &adrs);
+
+/**
+ * One WOTS+ keypair's len chains for advanceChains(). Chain i steps
+ * its n-byte value at vals + i * n in place from position start[i]
+ * to end[i] (start[i] <= end[i]); the step at position p hashes under
+ * adrs with chain i and hash index p. When capOut is set, chain i
+ * also copies its value at position capPos[i] to capOut + i * n if
+ * start[i] <= capPos[i] <= end[i] — how a signing leaf's wotsSign()
+ * bytes fall out of its pk-generation walk.
+ */
+struct WotsChainSet
+{
+    Address adrs; ///< layer/tree/type/keypair; chain and hash per step
+    uint8_t *vals = nullptr;
+    const uint32_t *start = nullptr;
+    const uint32_t *end = nullptr;
+    uint8_t *capOut = nullptr;
+    const uint32_t *capPos = nullptr;
+};
+
+/**
+ * The one WOTS+ chain dispatcher behind every batched chain walk
+ * (wotsLeafBatch, wotsPkFromSigXN, wotsSign, wotsPkFromSig). It sorts
+ * the live chains of @p count sets by start position and packs them
+ * into fused chain-kernel calls of the dispatched width — every step
+ * of up to 16 chains runs in vector registers
+ * (sha256ChainF16SeededAvx512 / sha256ChainF8SeededAvx2); a ragged
+ * tail of two or more chains runs as one padded call of the narrowest
+ * covering tier and a lone chain runs scalar. Forced-scalar dispatch,
+ * quarantine, Sha256Variant::Ptx contexts and value lengths the
+ * kernels do not cover run the same packing on the portable walk with
+ * the context's scalar compression. Values, captures and
+ * Sha256::compressionCount() (exactly the sum of end - start over all
+ * chains) are identical on every tier, and to genChain() per chain.
+ * @param count 0..maxHashLanes sets
+ */
+void advanceChains(const WotsChainSet sets[], unsigned count,
+                   const Context &ctx);
 
 /**
  * Derive the secret chain start value for chain @p chain.
@@ -82,13 +122,14 @@ struct WotsLeafReq
 
 /**
  * Generate @p count WOTS+ leaves described by @p reqs with every hash
- * pooled across requests: chain-start PRFs, chain steps and the final
- * T_len compressions all run in lane batches of the dispatched width
- * (16 on AVX-512, 8 elsewhere), maxHashLanes leaves per internal
- * sub-batch — the hot path of signing (~90% of compressions). Leaf
- * and captured
- * signature bytes are identical to per-leaf wotsPkGen()/wotsSign()
- * calls at every width. @p count is unbounded.
+ * pooled across requests, maxHashLanes leaves per internal
+ * sub-batch — the hot path of signing (~90% of compressions). The
+ * chain-start PRFs (one F-shaped step under a WOTS_PRF address) and
+ * the full w-1 step walks both go through advanceChains(), so each
+ * chain stays in vector registers for all its steps; the final T_len
+ * compressions run one lane per leaf. Leaf and captured signature
+ * bytes are identical to per-leaf wotsPkGen()/wotsSign() calls at
+ * every width. @p count is unbounded.
  */
 void wotsLeafBatch(const Context &ctx, const WotsLeafReq reqs[],
                    unsigned count);
@@ -111,10 +152,12 @@ void wotsPkFromSig(uint8_t *pk_out, const uint8_t *sig,
 
 /**
  * Recompute up to maxHashLanes compressed public keys from signatures
- * in one lockstep pass — the hot loop of batched verification. All
- * count * len ragged chains advance together in lanes of the
- * dispatched width (lanes retire early and refill), and the final
- * T_len compressions run one per lane. The signatures may sit in
+ * in one pass — the hot loop of batched verification. All
+ * count * len ragged chains go through advanceChains(), sorted by
+ * start position so the lanes of each fused chain call retire
+ * together; the ragged tail falls back to a padded narrower call or
+ * a scalar lone chain. The final T_len compressions run one per
+ * lane. The signatures may sit in
  * different hypertree positions (each lane has its own address) but
  * must share one context / parameter set. Byte-identical to count
  * wotsPkFromSig calls at every width.
