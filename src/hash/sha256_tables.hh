@@ -1,9 +1,9 @@
 /**
  * @file
  * FIPS 180-4 SHA-256 constant tables, shared by every backend
- * (scalar native, PTX-flavoured, 8-lane portable, 8-lane AVX2) so the
- * cryptographic constants exist exactly once. Internal header — not
- * part of the public hash API.
+ * (scalar native, PTX-flavoured, portable lanes, AVX2 and AVX-512
+ * lanes) so the cryptographic constants exist exactly once. Internal
+ * header — not part of the public hash API.
  */
 
 #ifndef HEROSIGN_HASH_SHA256_TABLES_HH
@@ -15,8 +15,12 @@
 namespace herosign::sha256tables
 {
 
-/** Round constants K_0..K_63 (cube roots of the first 64 primes). */
-alignas(32) inline constexpr std::array<uint32_t, 64> K = {
+/**
+ * Round constants K_0..K_63 (cube roots of the first 64 primes). A
+ * plain array: indexing it calls no std::array member, which the SIMD
+ * translation units rely on (see sha256_lanes_simd.hh).
+ */
+alignas(32) inline constexpr uint32_t K[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5,
     0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,

@@ -458,6 +458,18 @@ sha256ChainF(unsigned call_width, unsigned n, unsigned count,
              const Sha256State &mid, ChainLanes &lanes,
              Sha256Variant variant)
 {
+    if (count > maxSha256Lanes)
+        throw std::invalid_argument(
+            "sha256ChainF: count must be 0..16");
+    if (n > 32)
+        throw std::invalid_argument(
+            "sha256ChainF: n must be at most 32");
+    if (call_width != 0 && call_width != 8 && call_width != 16)
+        throw std::invalid_argument(
+            "sha256ChainF: call width must be 0, 8 or 16");
+    if (count > call_width && call_width != 0)
+        throw std::invalid_argument(
+            "sha256ChainF: count exceeds the SIMD call width");
     if (call_width == 0) {
         chainFPortable(mid, lanes, n, count, variant);
         return;

@@ -9,12 +9,19 @@
  * onto parallel lanes. Three backends compute bit-identical digests:
  *
  *  * AVX-512 — 16 lanes, fully transposed state, one `__m512i` per
- *    SHA-256 state word. Compiled into its own translation unit with
- *    -mavx512f (see src/hash/sha256x16_avx512.cc).
- *  * AVX2 — 8 lanes, one `__m256i` per state word (see
- *    src/hash/sha256x8_avx2.cc, compiled with -mavx2).
+ *    SHA-256 state word (src/hash/sha256x16_avx512.cc, the only TU
+ *    compiled with -mavx512f).
+ *  * AVX2 — 8 lanes, one `__m256i` per state word
+ *    (src/hash/sha256x8_avx2.cc, the only TU compiled with -mavx2).
  *  * Portable — a scalar loop over the lanes using the same
  *    compression function as Sha256; always available, any width.
+ *
+ * The two SIMD backends are one algorithm instantiated per ISA: the
+ * schedule expansion, the rounds, the generic compression, the seeded
+ * one-block final and the chain walk are written once as templates in
+ * the internal header sha256_lanes_simd.hh, and each ISA TU supplies
+ * only its register traits (arithmetic, rotates, Ch/Maj, loads and
+ * stores, lane masks) and the entry points declared below.
  *
  * All gating lives in ONE place, laneDispatch(): the CMake gates
  * HEROSIGN_ENABLE_AVX512 / HEROSIGN_ENABLE_AVX2 decide whether a
@@ -370,7 +377,9 @@ void sha256ChainF8SeededAvx2(const Sha256State &mid, ChainLanes &lanes);
  * count must be dead); 0 runs the portable walk, one scalar
  * compression of @p variant per live lane and step, for any n up to
  * 32. Every tier leaves bit-identical values and captures. Does not
- * touch Sha256::compressionCount() — callers account.
+ * touch Sha256::compressionCount() — callers account. Throws
+ * std::invalid_argument for count > maxSha256Lanes, n > 32, a call
+ * width other than 0, 8 or 16, or count > call_width on a SIMD call.
  */
 void sha256ChainF(unsigned call_width, unsigned n, unsigned count,
                   const Sha256State &mid, ChainLanes &lanes,

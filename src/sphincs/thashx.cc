@@ -142,6 +142,8 @@ void
 prfAddrX(uint8_t *const out[], const Context &ctx, const Address adrs[],
          unsigned count)
 {
+    if (count == 0 || count > maxHashLanes)
+        throw std::invalid_argument("prfAddrX: count must be 1..16");
     const uint8_t *ins[maxHashLanes];
     for (unsigned l = 0; l < count; ++l)
         ins[l] = ctx.skSeed().data();

@@ -3,8 +3,10 @@
  * Width-generic SHA-256 lane engine tests: lane equivalence against
  * the scalar hasher at widths 8 and 16 (one-shot, mid-state resume,
  * ragged final-block lengths), padded ragged tails at every width and
- * tier, forced-fallback behaviour, compression accounting, the fused seeded single-block kernels of both SIMD
- * backends, and the unified laneDispatch() override precedence.
+ * tier, forced-fallback behaviour, compression accounting, direct
+ * scalar parity of the generic compression and the fused seeded
+ * single-block kernel of both SIMD backends, and the unified
+ * laneDispatch() override precedence.
  */
 
 #include <cstdlib>
@@ -263,17 +265,22 @@ TEST(Sha256Lanes, FusedSeededAvx512KernelMatchesIncremental)
     fusedKernelCase<16>(seeded.midState(), sha256Final16SeededAvx512);
 }
 
-TEST(Sha256Lanes, GenericAvx512CompressionMatchesScalar)
+/**
+ * A W-lane generic compression over distinct per-lane chaining states
+ * and blocks must match W scalar compressions.
+ */
+template <size_t W>
+void
+genericCompressionCase(uint64_t seed,
+                       void (*kernel)(std::array<uint32_t, 8>[W],
+                                      const uint8_t *const[W]))
 {
-    if (!sha256LanesAvx512Active())
-        GTEST_SKIP() << "AVX-512 backend unavailable";
-
-    Rng rng(41);
-    std::array<uint32_t, 8> states[16];
-    std::array<uint32_t, 8> expected[16];
-    ByteVec blocks[16];
-    const uint8_t *bptrs[16];
-    for (int l = 0; l < 16; ++l) {
+    Rng rng(seed);
+    std::array<uint32_t, 8> states[W];
+    std::array<uint32_t, 8> expected[W];
+    ByteVec blocks[W];
+    const uint8_t *bptrs[W];
+    for (size_t l = 0; l < W; ++l) {
         ByteVec raw = rng.bytes(32);
         for (int i = 0; i < 8; ++i)
             states[l][i] = loadBe32(raw.data() + 4 * i);
@@ -282,9 +289,23 @@ TEST(Sha256Lanes, GenericAvx512CompressionMatchesScalar)
         bptrs[l] = blocks[l].data();
         sha256CompressNative(expected[l], blocks[l].data());
     }
-    sha256Compress16Avx512(states, bptrs);
-    for (int l = 0; l < 16; ++l)
+    kernel(states, bptrs);
+    for (size_t l = 0; l < W; ++l)
         EXPECT_EQ(states[l], expected[l]) << "lane " << l;
+}
+
+TEST(Sha256Lanes, GenericAvx2CompressionMatchesScalar)
+{
+    if (!sha256LanesAvx2Active())
+        GTEST_SKIP() << "AVX2 backend unavailable";
+    genericCompressionCase<8>(43, sha256Compress8Avx2);
+}
+
+TEST(Sha256Lanes, GenericAvx512CompressionMatchesScalar)
+{
+    if (!sha256LanesAvx512Active())
+        GTEST_SKIP() << "AVX-512 backend unavailable";
+    genericCompressionCase<16>(41, sha256Compress16Avx512);
 }
 
 TEST(LaneDispatch, QueriesAreConsistent)

@@ -6,8 +6,8 @@
  * every lane tier. Covers full chains, seeded ragged start/end
  * (start == end included), captures at the start, mid-chain and at
  * the end, 1..16 live chains (so padded calls carry ghost lanes), the
- * exact compression charge, Ptx contexts, and the simd-lane fault
- * seam.
+ * exact compression charge, Ptx contexts, the simd-lane fault seam,
+ * and sha256ChainF's rejection of out-of-range arguments.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "common/fault.hh"
 #include "common/random.hh"
 #include "hash/sha256.hh"
+#include "hash/sha256xN.hh"
 #include "lane_tiers.hh"
 #include "sphincs/params.hh"
 #include "sphincs/thashx.hh"
@@ -355,4 +356,27 @@ TEST(ChainKernel, UncoveredValueLengthRunsThePortableWalk)
         }
         expectAdvanceChainsMatchesGenChain(ctx, ctx, cases);
     }
+}
+
+TEST(ChainKernel, ChainFRejectsOutOfRangeArguments)
+{
+    // Checked before any tier runs, so every build rejects them alike.
+    Context ctx = makeContext(Params::sphincs128f(), 13);
+    const Sha256State &mid = ctx.seededState();
+    ChainLanes lanes{};
+    // More lanes than ChainLanes holds.
+    EXPECT_THROW(sha256ChainF(0, 16, maxSha256Lanes + 1, mid, lanes),
+                 std::invalid_argument);
+    EXPECT_THROW(sha256ChainF(16, 16, maxSha256Lanes + 1, mid, lanes),
+                 std::invalid_argument);
+    // Values longer than the 32-byte value rows.
+    EXPECT_THROW(sha256ChainF(0, 33, 1, mid, lanes),
+                 std::invalid_argument);
+    EXPECT_THROW(sha256ChainF(16, 33, 1, mid, lanes),
+                 std::invalid_argument);
+    // A SIMD call narrower than its lanes would leave some unwalked.
+    EXPECT_THROW(sha256ChainF(8, 16, 9, mid, lanes),
+                 std::invalid_argument);
+    EXPECT_THROW(sha256ChainF(4, 16, 2, mid, lanes),
+                 std::invalid_argument);
 }

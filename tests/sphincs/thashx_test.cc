@@ -243,6 +243,9 @@ TEST(ThashX, RejectsBadCounts)
                  std::invalid_argument);
     EXPECT_THROW(thashX(outs, ctx, adrs, ins, p.n, maxHashLanes + 1),
                  std::invalid_argument);
+    EXPECT_THROW(prfAddrX(outs, ctx, adrs, 0), std::invalid_argument);
+    EXPECT_THROW(prfAddrX(outs, ctx, adrs, maxHashLanes + 1),
+                 std::invalid_argument);
 }
 
 /**
