@@ -63,7 +63,7 @@ makeBatch(Rng &rng, unsigned count)
 
 /**
  * Sequential scalar reference: one thread, no queue, duration-bounded
- * through the shared bench/tuner measurement helper (tune::measureFor)
+ * through the shared bench measurement helper (tune::measureFor)
  * but never fewer signatures than the batch the worker rows sign.
  */
 MeasureResult

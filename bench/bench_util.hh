@@ -43,8 +43,6 @@ signRequests(const std::vector<ByteVec> &msgs)
 /**
  * The shared duration-bounded measurement loop: run @p fn repeatedly
  * for ~seconds after a warmup, returning iterations and wall time.
- * This is the same helper the autotuner's TrialRunner times trials
- * with, so bench rows and tuning trials share one timing definition.
  */
 using tune::measureFor;
 using tune::MeasureResult;
@@ -138,10 +136,9 @@ emitJson(const std::string &path, const std::string &title,
     // First table into a file: lead with the host fingerprint, so
     // trend comparisons can tell a regression from a host change
     // (scripts/bench_trend.py warns instead of failing across
-    // differing fingerprints). profile_hash records the autotuner
-    // profile applied to this process, "" when untuned.
+    // differing fingerprints).
     if (rendered.empty()) {
-        const auto fp = tune::HostFingerprint::current("");
+        const auto fp = tune::HostFingerprint::current();
         std::string meta;
         meta.append("  {\n    \"title\": \"__meta__\",\n"
                     "    \"fingerprint\": {\"cpu\": \"");
@@ -150,8 +147,6 @@ emitJson(const std::string &path, const std::string &title,
         meta.append(std::to_string(fp.cores));
         meta.append(", \"dispatch\": \"");
         meta.append(jsonEscape(fp.dispatch));
-        meta.append("\", \"profile_hash\": \"");
-        meta.append(jsonEscape(tune::activeProfileHash()));
         meta.append("\"}\n  }");
         rendered.push_back(std::move(meta));
     }

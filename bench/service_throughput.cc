@@ -1,23 +1,23 @@
 /**
  * @file
  * Serving-layer throughput: the batched lane-parallel verification
- * path against the scalar reference, and multi-tenant sign routing
- * through SignService's warm context cache.
+ * path against one-at-a-time verify() with SIMD off, and multi-tenant
+ * sign routing through SignService's warm context cache.
  *
  *   $ ./service_throughput [--csv] [--json out.json] [--msgs N]
  *                          [--set NAME] [--tenants T]
  *
  * Verify rows per parameter set:
- *   - "scalar verify (SIMD off)": one-at-a-time SphincsPlus::verify
- *     with the lane hash engine forced onto scalar lanes — the
- *     reference every other row is measured against (same convention
- *     as batch_throughput).
- *   - "scalar verify": the same one-at-a-time loop with the SIMD
- *     backend active; each verify() is a verifyBatch() group of one,
- *     so lanes fill only within its own signature.
+ *   - "verify() one at a time (SIMD off)": one-at-a-time
+ *     SphincsPlus::verify with the lane hash engine forced onto
+ *     scalar lanes — the reference every other row is measured
+ *     against (same convention as batch_throughput).
+ *   - "verify() one at a time": the same loop with the SIMD backend
+ *     active; each verify() is a verifyBatch() group of one, so lanes
+ *     fill only within its own signature.
  *   - "verifyBatch xN": the batched path, lanes filled across
- *     signatures. The acceptance bar is >= 2x the scalar reference,
- *     single-threaded.
+ *     signatures. The acceptance bar is >= 2x the SIMD-off
+ *     reference, single-threaded.
  *
  * The sign-routing section drives one SignService over T tenants and
  * reports throughput plus the context-cache counters proving the hot
@@ -75,11 +75,11 @@ makeBatch(Rng &rng, unsigned count)
 
 /**
  * One-at-a-time verification, duration-bounded through the shared
- * bench/tuner measurement helper (tune::measureFor). One iteration
+ * bench measurement helper (tune::measureFor). One iteration
  * verifies one signature.
  */
 MeasureResult
-scalarVerifyRun(const SphincsPlus &scheme, const sphincs::PublicKey &pk,
+verifyEachRun(const SphincsPlus &scheme, const sphincs::PublicKey &pk,
                 const std::vector<ByteVec> &msgs,
                 const std::vector<ByteVec> &sigs)
 {
@@ -93,7 +93,7 @@ scalarVerifyRun(const SphincsPlus &scheme, const sphincs::PublicKey &pk,
 
 /**
  * Batched lane-parallel verification with a warm context, duration
- * bounded like the scalar reference. One iteration verifies the whole
+ * bounded like verifyEachRun. One iteration verifies the whole
  * batch (the unit the lane scheduler fills lanes across).
  */
 MeasureResult
@@ -161,9 +161,9 @@ main(int argc, char **argv)
                 1u, static_cast<unsigned>(std::stoul(argv[++i])));
     }
 
-    // --- Batched verification vs the scalar reference. ---
+    // --- Batched verification vs one-at-a-time verify(), SIMD off. ---
     TextTable vt({"set", "mode", "sigs", "wall ms", "verifies/s",
-                  "vs scalar"});
+                  "vs SIMD off"});
     bool first_set = true;
     for (const Params &p : Params::all()) {
         if (!only_set.empty() &&
@@ -183,24 +183,25 @@ main(int argc, char **argv)
             sigs.push_back(scheme.sign(m, kp.sk));
         Context ctx(p, kp.pk.pkSeed, {});
 
-        // Reference: scalar loop with the lane engine forced onto
-        // scalar lanes (the pre-batching verify path).
+        // Reference: one-at-a-time verify() with the lane engine
+        // forced onto scalar lanes.
         sha256LanesForceScalar(true);
         const MeasureResult ref =
-            scalarVerifyRun(scheme, kp.pk, msgs, sigs);
+            verifyEachRun(scheme, kp.pk, msgs, sigs);
         sha256LanesForceScalar(false);
         const double ref_rate = ref.opsPerSec();
-        vt.addRow({p.name, "scalar verify (SIMD off)",
+        vt.addRow({p.name, "verify() one at a time (SIMD off)",
                    std::to_string(ref.iters), fmtF(ref.wallUs / 1000.0),
                    fmtF(ref_rate, 1), fmtX(1.0)});
 
         const bool simd = sha256LanesAvx2Active() ||
                           sha256LanesAvx512Active();
         const MeasureResult sc =
-            scalarVerifyRun(scheme, kp.pk, msgs, sigs);
+            verifyEachRun(scheme, kp.pk, msgs, sigs);
         const double sc_rate = sc.opsPerSec();
         vt.addRow({p.name,
-                   simd ? "scalar verify" : "scalar verify (no SIMD)",
+                   simd ? "verify() one at a time"
+                        : "verify() one at a time (no SIMD)",
                    std::to_string(sc.iters), fmtF(sc.wallUs / 1000.0),
                    fmtF(sc_rate, 1), fmtX(sc_rate / ref_rate)});
 
@@ -218,8 +219,9 @@ main(int argc, char **argv)
                    fmtX(bx_rate / ref_rate)});
     }
     emit(opt, "Batched verification throughput (single thread)", vt,
-         "reference = scalar verify with the lane engine forced "
-         "scalar; batched verify fills hash lanes across signatures");
+         "reference = verify() one at a time with the lane engine "
+         "forced scalar; batched verify fills hash lanes across "
+         "signatures");
 
     // --- Multi-tenant sign routing through the warm context cache ---
     // Same substring matching as the verify section above.

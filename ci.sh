@@ -36,11 +36,6 @@
 #                                        # a live MetricsReporter and
 #                                        # validate the JSONL snapshot
 #                                        # stream (SOAK_SECONDS=N)
-#   TUNE_SMOKE=1 ./ci.sh                 # build, then run a seconds-
-#                                        # budget autotuner search on
-#                                        # the mini parameter set and
-#                                        # assert the persisted profile
-#                                        # loads back (TUNE_SECONDS=N)
 #   ./ci.sh --format-check               # clang-format gate only
 set -euo pipefail
 
@@ -81,7 +76,6 @@ fi
 CTEST_REGEX=${CTEST_REGEX:-}
 FAULT_MATRIX=${FAULT_MATRIX:-}
 METRICS_SOAK=${METRICS_SOAK:-}
-TUNE_SMOKE=${TUNE_SMOKE:-}
 
 # Sanitized and portable-only builds get their own trees so neither
 # cache clobbers (or masquerades as) the plain tier-1 build.
@@ -171,43 +165,6 @@ for i, line in enumerate(lines, 1):
 assert prev_signs > 0, "no signs completed during the soak"
 print(f"ci.sh: metrics soak OK ({len(lines)} snapshot lines, "
       f"{prev_signs} signs)")
-EOF
-    exit 0
-fi
-
-if [[ -n "$TUNE_SMOKE" ]]; then
-    # Seconds-budget autotuner search against the real serving fabric
-    # on the mini parameter set: the explorer must finish inside the
-    # budget, persist a profile, and the profile must load back clean
-    # through both the explorer's own --check path and an independent
-    # JSON re-parse.
-    TUNE_SECONDS=${TUNE_SECONDS:-8}
-    TUNE_OUT="$BUILD_DIR/tune_profile.json"
-    rm -f "$TUNE_OUT"
-    "$BUILD_DIR/examples/autotune_explorer" \
-        --mini --budget "${TUNE_SECONDS}s" --trial-ms 120 \
-        --seed 1 --out "$TUNE_OUT"
-    "$BUILD_DIR/examples/autotune_explorer" --mini --check "$TUNE_OUT"
-    python3 - "$TUNE_OUT" <<'EOF'
-import json, sys
-with open(sys.argv[1], encoding="utf-8") as f:
-    doc = json.load(f)
-assert doc["version"] == 1, doc["version"]
-fp = doc["fingerprint"]
-for field in ("cpu", "cores", "dispatch", "param_set"):
-    assert fp.get(field), f"fingerprint missing {field!r}"
-assert fp["param_set"] == "mini", fp["param_set"]
-cfg = doc["config"]
-for knob in ("sign_workers", "sign_shards", "sign_coalesce",
-             "verify_workers", "verify_shards", "verify_coalesce",
-             "cache_capacity"):
-    assert knob in cfg, f"config missing {knob!r}"
-    assert isinstance(cfg[knob], int), f"{knob} not an int"
-assert cfg["sign_workers"] >= 1 and cfg["verify_workers"] >= 1
-assert doc["measured"]["tuned_ops_per_sec"] > 0
-print(f"ci.sh: tune smoke OK ({doc['trials']} trials, "
-      f"best {cfg['sign_workers']}w/{cfg['verify_workers']}vw, "
-      f"{doc['measured']['tuned_ops_per_sec']:.0f} ops/s)")
 EOF
     exit 0
 fi

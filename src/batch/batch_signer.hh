@@ -37,12 +37,6 @@
 #include "sphincs/sphincs.hh"
 #include "telemetry/telemetry.hh"
 
-namespace herosign::tune
-{
-struct Profile;
-struct BatchKnobOverrides;
-} // namespace herosign::tune
-
 namespace herosign::batch
 {
 
@@ -70,18 +64,6 @@ struct BatchSignerConfig
     /// Telemetry-plane knobs for this signer's private Telemetry
     /// (stage histograms, group-shape histograms, trace sampling).
     telemetry::TelemetryConfig telemetry;
-
-    /**
-     * The recommended construction path on a tuned host: workers,
-     * shards and laneGroup from a persisted autotuner profile,
-     * clamped exactly like directly-set values. The overload taking
-     * BatchKnobOverrides lets explicitly user-set knobs win over the
-     * profile unconditionally. Defined in src/tune/.
-     */
-    static BatchSignerConfig fromProfile(const tune::Profile &p);
-    static BatchSignerConfig
-    fromProfile(const tune::Profile &p,
-                const tune::BatchKnobOverrides &user);
 };
 
 /**

@@ -1,7 +1,7 @@
 /**
  * @file
- * The one JSON string writer shared by the stats exporters, the bench
- * JSON records and the autotuner profile.
+ * The one JSON string writer shared by the stats exporters and the
+ * bench JSON records.
  */
 
 #ifndef HEROSIGN_COMMON_JSON_HH
@@ -16,8 +16,8 @@ namespace herosign
 /**
  * Escape @p s for use inside a JSON string literal (no surrounding
  * quotes). Emits only \", \\, \n, \t and \u00XX for every other
- * control byte, the escape set tune::Profile's reader accepts; bytes
- * >= 0x20 pass through unchanged.
+ * control byte, a subset every JSON reader accepts; bytes >= 0x20 pass
+ * through unchanged.
  */
 std::string jsonEscape(std::string_view s);
 

@@ -20,12 +20,6 @@
 #include "hash/sha256.hh"
 #include "service/service_stats.hh"
 
-namespace herosign::tune
-{
-struct Profile;
-struct ServiceKnobOverrides;
-} // namespace herosign::tune
-
 namespace herosign::service
 {
 
@@ -98,18 +92,6 @@ struct ServiceConfig
     /// registry is passed in, the registry's own telemetry
     /// configuration wins.
     telemetry::TelemetryConfig telemetry;
-
-    /**
-     * The recommended construction path on a tuned host: the knobs a
-     * persisted autotuner profile recorded, clamped exactly like
-     * directly-set values (see tune::KnobSpace::clamp). The overload
-     * taking ServiceKnobOverrides lets explicitly user-set knobs win
-     * over the profile unconditionally. Defined in src/tune/.
-     */
-    static ServiceConfig fromProfile(const tune::Profile &p);
-    static ServiceConfig
-    fromProfile(const tune::Profile &p,
-                const tune::ServiceKnobOverrides &user);
 };
 
 /** The pending-job limits an AdmissionController enforces. */

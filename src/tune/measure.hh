@@ -1,10 +1,10 @@
 /**
  * @file
- * The one duration-bounded measurement loop shared by the autotuner's
- * TrialRunner and the bench binaries (via bench/bench_util.hh), so a
- * tuner trial and a bench row mean the same thing: warm up, then run
- * the operation in a closed loop until the time budget elapses and
- * report iterations against the measured wall clock.
+ * The one duration-bounded measurement loop the bench binaries share
+ * (via bench/bench_util.hh), so every bench row means the same thing:
+ * warm up, then run the operation in a closed loop until the time
+ * budget elapses and report iterations against the measured wall
+ * clock.
  */
 
 #ifndef HEROSIGN_TUNE_MEASURE_HH

@@ -3,7 +3,8 @@
  * BatchSigner correctness: batch output must byte-match sequential
  * scalar SphincsPlus signing for the same seeds — for every Table I
  * parameter set, for any worker count, with callbacks and opt_rand —
- * plus drain-on-empty / zero-message edge cases.
+ * plus drain-on-empty / zero-message edge cases and the constructor's
+ * knob clamps.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <numeric>
 
 #include "batch/batch_signer.hh"
+#include "batch/lane_scheduler.hh"
 #include "batch_test_util.hh"
 #include "common/hex.hh"
 
@@ -272,6 +274,39 @@ TEST(BatchSigner, LaneGroupOneDisablesCoalescing)
     auto st = signer.drain();
     EXPECT_EQ(st.laneGroups, 0u);
     EXPECT_EQ(st.crossSignJobs, 0u);
+}
+
+// Out-of-range knobs are clamped at construction: at least one worker
+// and one shard, and a lane group no wider than the 16-lane lockstep
+// bound.
+TEST(BatchSigner, ConstructorClampsOutOfRangeKnobs)
+{
+    const Params p = miniParams();
+    SphincsPlus scheme(p);
+    auto kp = scheme.keygenFromSeed(fixedSeed(p));
+
+    BatchSignerConfig cfg;
+    cfg.workers = 0;
+    cfg.shards = 0;
+    cfg.laneGroup = 33;
+    BatchSigner signer(p, kp.sk, cfg);
+    EXPECT_EQ(signer.workers(), 1u);
+    EXPECT_EQ(signer.shards(), 1u);
+    EXPECT_EQ(signer.laneGroup(), 16u);
+    EXPECT_EQ(signer.submit(signReq(patternMsg(16, 1))).get().size(),
+              p.sigBytes());
+}
+
+TEST(BatchSigner, LaneGroupZeroIsPreferredGroup)
+{
+    const Params p = miniParams();
+    SphincsPlus scheme(p);
+    auto kp = scheme.keygenFromSeed(fixedSeed(p));
+
+    BatchSignerConfig cfg;
+    cfg.laneGroup = 0;
+    BatchSigner signer(p, kp.sk, cfg);
+    EXPECT_EQ(signer.laneGroup(), LaneScheduler::preferredGroup());
 }
 
 TEST(BatchSigner, DrainSeparatesEpochs)

@@ -5,8 +5,9 @@
  * ragged final-block lengths), padded ragged tails at every width and
  * tier, forced-fallback behaviour, compression accounting, direct
  * scalar parity of the generic compression and the fused seeded
- * single-block kernel of both SIMD backends, and the unified
- * laneDispatch() override precedence.
+ * single-block kernel of both SIMD backends, the unified
+ * laneDispatch() override precedence, and the dispatch tier the bench
+ * host fingerprint records.
  */
 
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include "common/hex.hh"
 #include "common/random.hh"
 #include "hash/sha256xN.hh"
+#include "tune/profile.hh"
 
 using namespace herosign;
 
@@ -364,6 +366,23 @@ TEST(LaneDispatch, OverridePrecedence)
               sha256LanesAvx2Supported() &&
                   !laneEnvFlagEnabled("HEROSIGN_DISABLE_AVX2"));
     sha256LanesDisableAvx512(false);
+}
+
+// Bench snapshots are compared only between equal fingerprints, so the
+// recorded tier must follow laneDispatch(), overrides included.
+TEST(LaneDispatch, HostFingerprintNamesTheDispatchedTier)
+{
+    const auto fp = tune::HostFingerprint::current();
+    EXPECT_GE(fp.cores, 1u);
+    EXPECT_FALSE(fp.cpuModel.empty());
+    switch (laneDispatch().backend) {
+    case LaneBackend::Avx512: EXPECT_EQ(fp.dispatch, "avx512"); break;
+    case LaneBackend::Avx2: EXPECT_EQ(fp.dispatch, "avx2"); break;
+    case LaneBackend::Scalar: EXPECT_EQ(fp.dispatch, "portable"); break;
+    }
+
+    ScopedScalarLanes scalar;
+    EXPECT_EQ(tune::HostFingerprint::current().dispatch, "portable");
 }
 
 TEST(LaneDispatch, EnvFlagParseSemantics)

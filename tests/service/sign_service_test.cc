@@ -2,7 +2,8 @@
  * @file
  * SignService: multi-tenant routing correctness (byte-identical to
  * the scalar per-key path), the no-per-sign-Context-construction
- * guarantee, admission control, and the unified stats surface.
+ * guarantee, admission control, the constructor's knob clamps and the
+ * unified stats surface.
  */
 
 #include <gtest/gtest.h>
@@ -231,6 +232,23 @@ TEST(SignService, HotPathConstructsNoContexts)
     auto st = svc.stats();
     EXPECT_EQ(st.cache.misses, 2u);
     EXPECT_EQ(st.cache.hits, 14u);
+}
+
+// Zero workers and zero shards are clamped to one of each at
+// construction, and the clamped service still signs.
+TEST(SignService, ConstructorClampsZeroWorkersAndShards)
+{
+    const auto p = miniParams();
+    Tenancy t;
+    addTenants(t, p, 1);
+
+    ServiceConfig cfg;
+    cfg.workers = 0;
+    cfg.shards = 0;
+    SignService svc(t.store, cfg);
+    EXPECT_EQ(svc.workers(), 1u);
+    EXPECT_EQ(svc.submit("tenant-0", signReq(patternMsg(16))).get().size(),
+              p.sigBytes());
 }
 
 TEST(SignService, RejectsUnknownAndVerifyOnlyKeys)
