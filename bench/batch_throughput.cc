@@ -14,7 +14,7 @@
  * the sign-side counterpart of the verifier's across-signature lane
  * fill.
  *
- *   $ ./batch_throughput [--csv] [--json F] [--msgs N] [--set NAME]
+ *   $ ./batch_throughput [--csv] [--msgs N] [--set NAME]
  *
  * Worker scaling only shows above one hardware thread; on a 1-core
  * host the multi-worker rows degenerate to the scalar rate minus

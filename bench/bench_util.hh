@@ -6,13 +6,12 @@
  * not re-profile needlessly.
  */
 
-#ifndef HEROSIGN_BENCH_BENCH_UTIL_HH
-#define HEROSIGN_BENCH_BENCH_UTIL_HH
+#ifndef HEROSIGN_BENCHUTIL_HH
+#define HEROSIGN_BENCHUTIL_HH
 
 #include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -20,12 +19,10 @@
 #include <vector>
 
 #include "batch/sign_request.hh"
-#include "common/json.hh"
 #include "common/table.hh"
 #include "core/engine.hh"
 #include "telemetry/histogram.hh"
 #include "tune/measure.hh"
-#include "tune/profile.hh"
 
 namespace herosign::bench
 {
@@ -70,7 +67,6 @@ struct Options
 {
     bool csv = false;
     unsigned iters = 0; ///< --iters N; 0 = the bench's own default
-    std::string jsonPath; ///< --json <path>; empty = no JSON output
 
     static Options
     parse(int argc, char **argv)
@@ -80,17 +76,6 @@ struct Options
             std::string a = argv[i];
             if (a == "--csv") {
                 o.csv = true;
-            } else if (a == "--json") {
-                // Consume the value only when it is not another flag,
-                // matching the --iters convention below.
-                const char *v = i + 1 < argc ? argv[i + 1] : nullptr;
-                if (v && std::strncmp(v, "--", 2) != 0) {
-                    o.jsonPath = v;
-                    ++i;
-                } else {
-                    std::cerr << "--json expects a file path; "
-                                 "ignoring\n";
-                }
             } else if (a == "--iters") {
                 // Consume the value only when it parses, so a
                 // following flag is not swallowed by a bad value.
@@ -117,97 +102,11 @@ struct Options
     }
 };
 
-/**
- * Accumulates every table a bench emits and rewrites the --json file
- * as one array of {title, note, headers, rows} objects, rows keyed by
- * header — the machine-readable record the BENCH_*.json perf
- * trajectory is built from. Benches are single-threaded; rewriting on
- * each emit keeps the file valid even if the bench aborts later.
- */
-inline void
-emitJson(const std::string &path, const std::string &title,
-         const std::string &note, const TextTable &table)
-{
-    // Keyed by destination so two --json paths in one process (or a
-    // future multi-file bench) cannot cross-contaminate.
-    static std::map<std::string, std::vector<std::string>> rendered_by;
-    std::vector<std::string> &rendered = rendered_by[path];
-
-    // First table into a file: lead with the host fingerprint, so
-    // trend comparisons can tell a regression from a host change
-    // (scripts/bench_trend.py warns instead of failing across
-    // differing fingerprints).
-    if (rendered.empty()) {
-        const auto fp = tune::HostFingerprint::current();
-        std::string meta;
-        meta.append("  {\n    \"title\": \"__meta__\",\n"
-                    "    \"fingerprint\": {\"cpu\": \"");
-        meta.append(jsonEscape(fp.cpuModel));
-        meta.append("\", \"cores\": ");
-        meta.append(std::to_string(fp.cores));
-        meta.append(", \"dispatch\": \"");
-        meta.append(jsonEscape(fp.dispatch));
-        meta.append("\"}\n  }");
-        rendered.push_back(std::move(meta));
-    }
-
-    // Built with append() chains: GCC 12 raises a -Wrestrict false
-    // positive on nested operator+ of temporaries here.
-    const auto &headers = table.headers();
-    std::string obj;
-    obj.append("  {\n    \"title\": \"");
-    obj.append(jsonEscape(title));
-    obj.append("\",\n    \"note\": \"");
-    obj.append(jsonEscape(note));
-    obj.append("\",\n    \"headers\": [");
-    for (size_t c = 0; c < headers.size(); ++c) {
-        if (c)
-            obj.append(", ");
-        obj.append("\"");
-        obj.append(jsonEscape(headers[c]));
-        obj.append("\"");
-    }
-    obj.append("],\n    \"rows\": [\n");
-    bool first_row = true;
-    for (const auto &row : table.rawRows()) {
-        if (row.empty())
-            continue; // separator
-        if (!first_row)
-            obj.append(",\n");
-        first_row = false;
-        obj.append("      {");
-        for (size_t c = 0; c < headers.size() && c < row.size(); ++c) {
-            if (c)
-                obj.append(", ");
-            obj.append("\"");
-            obj.append(jsonEscape(headers[c]));
-            obj.append("\": \"");
-            obj.append(jsonEscape(row[c]));
-            obj.append("\"");
-        }
-        obj.append("}");
-    }
-    obj.append("\n    ]\n  }");
-    rendered.push_back(std::move(obj));
-
-    std::ofstream f(path, std::ios::trunc);
-    if (!f) {
-        std::cerr << "--json: cannot write '" << path << "'\n";
-        return;
-    }
-    f << "[\n";
-    for (size_t i = 0; i < rendered.size(); ++i)
-        f << rendered[i] << (i + 1 < rendered.size() ? ",\n" : "\n");
-    f << "]\n";
-}
-
-/** Print the experiment banner and the table (text, CSV, JSON). */
+/** Print the experiment banner and the table (text or CSV). */
 inline void
 emit(const Options &o, const std::string &title, const TextTable &table,
      const std::string &note = "")
 {
-    if (!o.jsonPath.empty())
-        emitJson(o.jsonPath, title, note, table);
     if (o.csv) {
         std::cout << table.renderCsv();
         return;
@@ -252,4 +151,4 @@ kernelKops(core::SignEngine &engine, core::KernelKind kind,
 
 } // namespace herosign::bench
 
-#endif // HEROSIGN_BENCH_BENCH_UTIL_HH
+#endif // HEROSIGN_BENCHUTIL_HH

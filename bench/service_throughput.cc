@@ -4,8 +4,8 @@
  * path against one-at-a-time verify() with SIMD off, and multi-tenant
  * sign routing through SignService's warm context cache.
  *
- *   $ ./service_throughput [--csv] [--json out.json] [--msgs N]
- *                          [--set NAME] [--tenants T]
+ *   $ ./service_throughput [--csv] [--msgs N] [--set NAME]
+ *                          [--tenants T]
  *
  * Verify rows per parameter set:
  *   - "verify() one at a time (SIMD off)": one-at-a-time

@@ -15,9 +15,7 @@
  * (0.828/0.560/0.356 KOPS). On a host with fewer cores the thread
  * rows flatten; the lane-width split remains.
  *
- * Flags: --iters N (signatures per measurement, default 3), --csv,
- * --json <path> (the machine-readable record the BENCH_*.json trend
- * snapshots and scripts/bench_trend.py consume).
+ * Flags: --iters N (signatures per measurement, default 3), --csv.
  */
 
 #include <chrono>

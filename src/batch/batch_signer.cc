@@ -52,8 +52,7 @@ BatchSigner::BatchSigner(const Params &params,
                          std::shared_ptr<const SecretKey> sk,
                          const BatchSignerConfig &config)
     : params_(params), sk_(requireKey(std::move(sk))),
-      scheme_(params_, config.variant),
-      ctx_(params_, sk_->pkSeed, sk_->skSeed, config.variant),
+      scheme_(params_), ctx_(params_, sk_->pkSeed, sk_->skSeed),
       pk_{params_, sk_->pkSeed, sk_->pkRoot}, tel_(config.telemetry),
       step_("BatchSigner", tel_, config.verifyAfterSign,
             resolveLaneGroup(config.laneGroup)),

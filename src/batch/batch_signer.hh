@@ -33,7 +33,6 @@
 #include "batch/sign_request.hh"
 #include "batch/sign_step.hh"
 #include "batch/worker_plane.hh"
-#include "hash/sha256.hh"
 #include "sphincs/sphincs.hh"
 #include "telemetry/telemetry.hh"
 
@@ -52,7 +51,6 @@ struct BatchSignerConfig
     /// only within its own signature. Clamped to the LaneScheduler
     /// group bound.
     unsigned laneGroup = 0;
-    Sha256Variant variant = Sha256Variant::Native;
     /// Verify every produced signature against the warm context
     /// before it is released. On a mismatch the job is re-signed once
     /// on the forced-scalar path and the suspect SIMD tier is

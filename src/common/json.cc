@@ -30,10 +30,4 @@ jsonEscape(std::string_view s)
     return out;
 }
 
-std::string
-jsonQuote(std::string_view s)
-{
-    return '"' + jsonEscape(s) + '"';
-}
-
 } // namespace herosign

@@ -1,7 +1,6 @@
 /**
  * @file
- * The one JSON string writer shared by the stats exporters and the
- * bench JSON records.
+ * The one JSON string writer the stats exporters share.
  */
 
 #ifndef HEROSIGN_COMMON_JSON_HH
@@ -20,9 +19,6 @@ namespace herosign
  * through unchanged.
  */
 std::string jsonEscape(std::string_view s);
-
-/** jsonEscape(@p s) wrapped in double quotes. */
-std::string jsonQuote(std::string_view s);
 
 } // namespace herosign
 

@@ -17,7 +17,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "hash/sha256.hh"
 #include "service/service_stats.hh"
 
 namespace herosign::service
@@ -35,12 +34,6 @@ class ServiceOverload : public std::runtime_error
 
     ServiceOverload(Kind kind, const std::string &what)
         : std::runtime_error(what), kind_(kind)
-    {
-    }
-
-    /** Untyped overloads default to the sign-plane cap. */
-    explicit ServiceOverload(const std::string &what)
-        : std::runtime_error(what), kind_(Kind::SignCap)
     {
     }
 
@@ -62,11 +55,6 @@ struct ServiceConfig
     unsigned signCoalesce = 0;
     unsigned verifyWorkers = 2; ///< verify worker threads (>= 1)
     unsigned verifyShards = 2;  ///< verify queue shards (>= 1)
-    /// Max queued requests one verify worker coalesces into a single
-    /// per-tenant-grouped pass; 0 = auto (4x the dispatched hash-lane
-    /// width, so mixed traffic from a handful of tenants still fills
-    /// whole lane groups).
-    unsigned verifyCoalesce = 0;
     size_t contextCacheCapacity = 64; ///< warm per-key contexts kept
     /// Reject sign submits once this many sign jobs are pending
     /// (0 = unbounded).
@@ -86,7 +74,6 @@ struct ServiceConfig
     /// corrupt signature ever escapes the service (a faulty SPHINCS+
     /// signature can leak WOTS one-time key material).
     bool verifyAfterSign = false;
-    Sha256Variant variant = Sha256Variant::Native;
     /// Telemetry-plane knobs (stage histograms, trace sampling).
     /// Applied to the service's private StatsRegistry; when a shared
     /// registry is passed in, the registry's own telemetry

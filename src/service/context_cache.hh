@@ -36,12 +36,10 @@ struct WarmContext
     sphincs::SphincsPlus scheme;
     sphincs::Context ctx;
 
-    WarmContext(std::shared_ptr<const KeyRecord> k,
-                Sha256Variant variant)
-        : key(std::move(k)), scheme(key->params, variant),
+    explicit WarmContext(std::shared_ptr<const KeyRecord> k)
+        : key(std::move(k)), scheme(key->params),
           ctx(key->params, key->pk.pkSeed,
-              key->canSign() ? ByteSpan(key->sk.skSeed) : ByteSpan{},
-              variant)
+              key->canSign() ? ByteSpan(key->sk.skSeed) : ByteSpan{})
     {
     }
 };
@@ -54,9 +52,8 @@ struct WarmContext
 class ContextCache
 {
   public:
-    explicit ContextCache(size_t capacity,
-                          Sha256Variant variant = Sha256Variant::Native)
-        : cap_(capacity == 0 ? 1 : capacity), variant_(variant)
+    explicit ContextCache(size_t capacity)
+        : cap_(capacity == 0 ? 1 : capacity)
     {
     }
 
@@ -81,7 +78,6 @@ class ContextCache
 
     mutable std::mutex m_;
     const size_t cap_;
-    const Sha256Variant variant_;
     std::list<std::string> lru_; ///< most recently used at the front
     std::unordered_map<std::string, Entry> map_;
     uint64_t hits_ = 0;

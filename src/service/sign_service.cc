@@ -30,7 +30,7 @@ SignService::SignService(KeyStore &store, const ServiceConfig &config,
     : store_(store),
       cache_(cache ? std::move(cache)
                    : std::make_shared<ContextCache>(
-                         config.contextCacheCapacity, config.variant)),
+                         config.contextCacheCapacity)),
       statsReg_(stats ? std::move(stats)
                       : std::make_shared<StatsRegistry>(
                             config.telemetry)),

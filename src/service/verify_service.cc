@@ -12,7 +12,7 @@ namespace herosign::service
 namespace
 {
 
-/// Auto coalescing window: a few lane widths, so a chunk drained from
+/// Verify coalescing window: a few lane widths, so a chunk drained from
 /// the queue by one worker can fill whole lane groups for several
 /// tenants at once without starving sibling workers.
 constexpr unsigned kCoalesceLaneFactor = 4;
@@ -27,7 +27,7 @@ VerifyService::VerifyService(
     : store_(store),
       cache_(cache ? std::move(cache)
                    : std::make_shared<ContextCache>(
-                         config.contextCacheCapacity, config.variant)),
+                         config.contextCacheCapacity)),
       statsReg_(stats ? std::move(stats)
                       : std::make_shared<StatsRegistry>(
                             config.telemetry)),
@@ -37,9 +37,7 @@ VerifyService::VerifyService(
                            AdmissionLimits::fromConfig(config))),
       plane_("VerifyService", telemetry::Plane::Verify,
              config.verifyWorkers, config.verifyShards,
-             config.verifyCoalesce > 0
-                 ? config.verifyCoalesce
-                 : kCoalesceLaneFactor * sphincs::hashLaneWidth(),
+             kCoalesceLaneFactor * sphincs::hashLaneWidth(),
              statsReg_->telemetry(),
              [this](unsigned w, std::span<Task *const> live) {
                  verifyPass(w, live);

@@ -11,6 +11,7 @@
 #include "service/sign_service.hh"
 #include "service/verify_service.hh"
 #include "sphincs/sphincs.hh"
+#include "sphincs/thashx.hh"
 
 using namespace herosign;
 using batchtest::miniParams;
@@ -140,6 +141,15 @@ TEST(VerifyService, SingleTenantConvenienceOverload)
     EXPECT_THROW(svc.verifyBatch("t0", msgs,
                                  std::vector<ByteVec>(msgs.size() - 1)),
                  std::invalid_argument);
+}
+
+// The verify window is fixed, not a knob: enough queued requests for
+// several tenants to fill whole lane groups in one pass.
+TEST(VerifyService, CoalescingWindowIsFourLaneWidths)
+{
+    Fixture fx(1);
+    VerifyService svc(fx.store);
+    EXPECT_EQ(svc.coalesceWindow(), 4 * sphincs::hashLaneWidth());
 }
 
 TEST(VerifyService, SharedCacheAndStatsWithSignService)
