@@ -91,17 +91,9 @@ scalarSignRun(const SphincsPlus &scheme, const sphincs::SecretKey &sk,
 int
 main(int argc, char **argv)
 {
-    Options opt = Options::parse(argc, argv);
-    unsigned msgs_per_set = 24;
-    std::string only_set;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--msgs" && i + 1 < argc)
-            msgs_per_set = std::max(
-                1u, static_cast<unsigned>(std::stoul(argv[++i])));
-        else if (a == "--set" && i + 1 < argc)
-            only_set = argv[++i];
-    }
+    Options opt = Options::parse(argc, argv, {"--msgs N", "--set NAME"});
+    const unsigned msgs_per_set = opt.count("--msgs", 24);
+    const std::string only_set = opt.text("--set");
 
     TextTable table({"set", "mode", "msgs", "wall ms", "sigs/s",
                      "vs scalar", "steals"});

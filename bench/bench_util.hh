@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers for the table/figure reproduction binaries: CLI flag
- * handling (--csv), headers that identify the experiment, and an
- * engine cache so a bench constructing several configurations does
+ * handling (--csv and each bench's own flags; anything else prints a
+ * usage line and exits 2), headers that identify the experiment, and
+ * an engine cache so a bench constructing several configurations does
  * not re-profile needlessly.
  */
 
@@ -11,7 +12,9 @@
 
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -62,44 +65,81 @@ percentileMs(const std::vector<double> &lat_us, double q)
     return static_cast<double>(h.snapshot().percentile(q)) / 1e6;
 }
 
-/** Parsed command-line options shared by all bench binaries. */
-struct Options
+/**
+ * Parsed command-line options: --csv, which every bench takes, plus
+ * the bench's own value flags. An unknown flag, a missing value or a
+ * bad count prints a usage line and exits 2.
+ */
+class Options
 {
+  public:
     bool csv = false;
-    unsigned iters = 0; ///< --iters N; 0 = the bench's own default
 
+    /**
+     * @param own the bench's own value flags as "--name METAVAR"
+     *        (e.g. "--msgs N"); the metavar only feeds the usage line
+     */
     static Options
-    parse(int argc, char **argv)
+    parse(int argc, char **argv,
+          std::initializer_list<const char *> own = {})
     {
         Options o;
+        std::string prog = argc > 0 ? argv[0] : "bench";
+        o.usage_ = "usage: " + prog.substr(prog.rfind('/') + 1) +
+                   " [--csv]";
+        for (const char *spec : own)
+            o.usage_ += std::string(" [") + spec + "]";
         for (int i = 1; i < argc; ++i) {
-            std::string a = argv[i];
+            const std::string a = argv[i];
             if (a == "--csv") {
                 o.csv = true;
-            } else if (a == "--iters") {
-                // Consume the value only when it parses, so a
-                // following flag is not swallowed by a bad value.
-                const char *v = i + 1 < argc ? argv[i + 1] : nullptr;
-                bool ok = false;
-                if (v) {
-                    unsigned n = 0;
-                    const char *end = v + std::strlen(v);
-                    auto [p, ec] = std::from_chars(v, end, n);
-                    if (ec == std::errc() && p == end && n > 0) {
-                        o.iters = n;
-                        ok = true;
-                        ++i;
-                    }
-                }
-                if (!ok) {
-                    std::cerr << "--iters expects a positive integer, "
-                                 "got '"
-                              << (v ? v : "") << "'; ignoring\n";
-                }
+                continue;
             }
+            bool known = false;
+            for (const char *spec : own)
+                known = known ||
+                        a == std::string(spec, std::strcspn(spec, " "));
+            if (!known)
+                o.fail("unknown flag '" + a + "'");
+            if (i + 1 == argc)
+                o.fail(a + " expects a value");
+            o.values_[a] = argv[++i];
         }
         return o;
     }
+
+    /** Flag @p name as a positive integer, @p fallback if absent. */
+    unsigned
+    count(const std::string &name, unsigned fallback) const
+    {
+        const std::string v = text(name);
+        if (v.empty())
+            return fallback;
+        unsigned n = 0;
+        auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+        if (ec != std::errc() || p != v.data() + v.size() || n == 0)
+            fail(name + " expects a positive integer, got '" + v + "'");
+        return n;
+    }
+
+    /** Flag @p name's value, or "" if absent. */
+    std::string
+    text(const std::string &name) const
+    {
+        auto it = values_.find(name);
+        return it == values_.end() ? "" : it->second;
+    }
+
+  private:
+    [[noreturn]] void
+    fail(const std::string &why) const
+    {
+        std::cerr << why << "\n" << usage_ << "\n";
+        std::exit(2);
+    }
+
+    std::map<std::string, std::string> values_;
+    std::string usage_;
 };
 
 /** Print the experiment banner and the table (text or CSV). */

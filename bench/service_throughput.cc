@@ -145,21 +145,11 @@ addLatencyRows(TextTable &table, const std::string &set,
 int
 main(int argc, char **argv)
 {
-    Options opt = Options::parse(argc, argv);
-    unsigned msgs_per_set = 48;
-    unsigned tenants = 4;
-    std::string only_set;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--msgs" && i + 1 < argc)
-            msgs_per_set = std::max(
-                1u, static_cast<unsigned>(std::stoul(argv[++i])));
-        else if (a == "--set" && i + 1 < argc)
-            only_set = argv[++i];
-        else if (a == "--tenants" && i + 1 < argc)
-            tenants = std::max(
-                1u, static_cast<unsigned>(std::stoul(argv[++i])));
-    }
+    Options opt = Options::parse(argc, argv,
+                                 {"--msgs N", "--set NAME", "--tenants T"});
+    const unsigned msgs_per_set = opt.count("--msgs", 48);
+    const unsigned tenants = opt.count("--tenants", 4);
+    const std::string only_set = opt.text("--set");
 
     // --- Batched verification vs one-at-a-time verify(), SIMD off. ---
     TextTable vt({"set", "mode", "sigs", "wall ms", "verifies/s",

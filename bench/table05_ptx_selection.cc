@@ -30,9 +30,9 @@ main(int argc, char **argv)
         {&Params::sphincs256f(), "PTX", "PTX", "PTX"},
     };
 
-    auto mark = [](Sha256Variant v) {
-        return v == Sha256Variant::Ptx ? std::string("PTX")
-                                       : std::string("native");
+    auto mark = [](core::Sha256Variant v) {
+        return v == core::Sha256Variant::Ptx ? std::string("PTX")
+                                             : std::string("native");
     };
 
     TextTable t({"Set", "FORS_Sign", "TREE_Sign", "WOTS+_Sign",

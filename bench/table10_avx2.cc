@@ -102,8 +102,9 @@ measureKops(const Params &p, bool force_scalar, bool no_avx512,
 int
 main(int argc, char **argv)
 {
-    Options o = Options::parse(argc, argv);
-    const unsigned iters = o.iters ? o.iters : 3;
+    Options o = Options::parse(argc, argv, {"--iters N"});
+    const unsigned given = o.count("--iters", 0);
+    const unsigned iters = given ? given : 3;
 
     struct Literature
     {
@@ -184,7 +185,7 @@ main(int argc, char **argv)
     if (have_avx512)
         backends.push_back({"x16 AVX-512", false, false});
 
-    const unsigned msgs = o.iters ? o.iters * 4 : 16;
+    const unsigned msgs = given ? given * 4 : 16;
     TextTable ts({"Configuration", "128f KOPS", "192f KOPS",
                   "256f KOPS"});
     ts.addRow({"AVX2 16 threads (paper)", fmtF(lit[0].threads16, 3),

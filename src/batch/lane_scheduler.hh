@@ -53,7 +53,7 @@ class LaneScheduler
                           const ByteSpan msgs[], const ByteSpan opt_rands[],
                           ByteVec sigs[], unsigned count)
     {
-        sphincs::SphincsPlus(ctx.params(), ctx.variant())
+        sphincs::SphincsPlus(ctx.params())
             .signGroup(ctx, sk, msgs, opt_rands, sigs, count);
     }
 };

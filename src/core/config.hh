@@ -18,11 +18,18 @@
 
 #include <string>
 
-#include "hash/sha256.hh"
 #include "sphincs/params.hh"
 
 namespace herosign::core
 {
+
+/**
+ * Which SHA-256 formulation a GPU kernel is compiled with: the native
+ * shift/rotate build or the hand-written PTX (prmt/mad) branch (paper
+ * §III-C). A cost-model label only: it prices registers and cycles per
+ * hash; the CPU signer always runs the native compression.
+ */
+enum class Sha256Variant { Native, Ptx };
 
 /** The three component kernels of the paper. */
 enum class KernelKind { ForsSign, TreeSign, WotsSign };

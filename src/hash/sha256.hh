@@ -2,15 +2,14 @@
  * @file
  * SHA-256 (FIPS 180-4) with an incremental API and mid-state capture.
  *
- * Two compression-function implementations are provided:
- *
- *  * Variant::Native — the conventional shift/rotate implementation a
- *    CUDA kernel would compile from plain C.
- *  * Variant::Ptx    — a byte-permute (prmt) + multiply-add (mad)
- *    flavoured implementation mirroring HERO-Sign's hand-written PTX
- *    branch (paper §III-C, Fig. 5). It computes identical digests but
- *    exercises a different instruction mix, which the GPU cost model
- *    prices differently (fewer registers, different ALU profile).
+ * Every Sha256 compression runs sha256CompressNative, the
+ * conventional shift/rotate implementation a CUDA kernel would compile
+ * from plain C. sha256CompressPtx is the byte-permute (prmt) +
+ * multiply-add (mad) formulation of HERO-Sign's hand-written PTX
+ * branch (paper §III-C, Fig. 5): it computes identical states with a
+ * different instruction mix, which the GPU cost model prices
+ * differently (the PTX/native label in core/config.hh). It sits on no
+ * signing path; the unit tests pin it against the native compression.
  *
  * Mid-state capture (state after compressing whole blocks) enables the
  * SPHINCS+ optimization of precomputing the state of the 64-byte
@@ -35,9 +34,6 @@
 namespace herosign
 {
 
-/** Which SHA-256 compression implementation to use. */
-enum class Sha256Variant { Native, Ptx };
-
 /** Captured SHA-256 chaining state after a whole number of blocks. */
 struct Sha256State
 {
@@ -52,11 +48,10 @@ class Sha256
     static constexpr size_t digestSize = 32;
     static constexpr size_t blockSize = 64;
 
-    explicit Sha256(Sha256Variant variant = Sha256Variant::Native);
+    Sha256();
 
     /** Resume from a previously captured mid-state. */
-    explicit Sha256(const Sha256State &state,
-                    Sha256Variant variant = Sha256Variant::Native);
+    explicit Sha256(const Sha256State &state);
 
     /** Absorb @p data. */
     void update(ByteSpan data);
@@ -72,8 +67,7 @@ class Sha256
     void final(uint8_t *out);
 
     /** One-shot convenience. */
-    static std::array<uint8_t, digestSize>
-    digest(ByteSpan data, Sha256Variant variant = Sha256Variant::Native);
+    static std::array<uint8_t, digestSize> digest(ByteSpan data);
 
     /**
      * Global (thread-local) count of compression-function invocations;
@@ -97,12 +91,11 @@ class Sha256
     uint8_t buf_[blockSize];
     size_t bufLen_;
     uint64_t total_;
-    Sha256Variant variant_;
 };
 
 /**
- * Compression-function entry points (exposed for the PTX unit tests;
- * normal users go through Sha256).
+ * Compression-function entry points. Normal users go through Sha256;
+ * sha256CompressPtx is exposed for its unit test and micro bench.
  */
 void sha256CompressNative(std::array<uint32_t, 8> &state,
                           const uint8_t *block);

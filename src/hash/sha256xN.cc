@@ -227,31 +227,29 @@ ScopedScalarLanes::activeOnThisThread()
     return tl_force_scalar;
 }
 
-Sha256Lanes::Sha256Lanes(unsigned width, Sha256Variant variant)
-    : bufLen_(0), total_(0), width_(width), variant_(variant)
+Sha256Lanes::Sha256Lanes(unsigned width)
+    : bufLen_(0), total_(0), width_(width)
 {
     if (width_ == 0 || width_ > maxLanes)
         throw std::invalid_argument("Sha256Lanes: width must be 1..16");
     const LaneDispatch d = laneDispatch();
-    avx2_ = variant == Sha256Variant::Native && d.avx2;
-    avx512_ = variant == Sha256Variant::Native && d.avx512;
+    avx2_ = d.avx2;
+    avx512_ = d.avx512;
     // Spare states past width_ are ghost-lane scratch for padded calls.
     for (auto &h : h_)
         h = initState;
 }
 
-Sha256Lanes::Sha256Lanes(unsigned width, const Sha256State &state,
-                         Sha256Variant variant)
-    : bufLen_(0), total_(state.bytesCompressed), width_(width),
-      variant_(variant)
+Sha256Lanes::Sha256Lanes(unsigned width, const Sha256State &state)
+    : bufLen_(0), total_(state.bytesCompressed), width_(width)
 {
     if (width_ == 0 || width_ > maxLanes)
         throw std::invalid_argument("Sha256Lanes: width must be 1..16");
     if (state.bytesCompressed % blockSize != 0)
         throw std::logic_error("Sha256Lanes: mid-state not block aligned");
     const LaneDispatch d = laneDispatch();
-    avx2_ = variant == Sha256Variant::Native && d.avx2;
-    avx512_ = variant == Sha256Variant::Native && d.avx512;
+    avx2_ = d.avx2;
+    avx512_ = d.avx512;
     for (auto &h : h_)
         h = state.h;
 }
@@ -275,12 +273,8 @@ Sha256Lanes::compressAll(const uint8_t *const blocks[])
             sha256Compress8Avx2(h_ + l, padded + l);
         l = std::min(width_, l + w);
     }
-    for (; l < width_; ++l) {
-        if (variant_ == Sha256Variant::Native)
-            sha256CompressNative(h_[l], blocks[l]);
-        else
-            sha256CompressPtx(h_[l], blocks[l]);
-    }
+    for (; l < width_; ++l)
+        sha256CompressNative(h_[l], blocks[l]);
     // One step over W real lanes does the work of W scalar
     // compressions, ghost lanes excluded; keep the global accounting
     // (tests, cost-model calibration) in sync.
@@ -396,11 +390,11 @@ storeWords(const uint32_t words[8][maxSha256Lanes], unsigned l,
 /**
  * The portable chain walk: each live lane in turn keeps its block
  * and rewrites only the hash index and the value per step, one scalar
- * compression of @p variant each.
+ * compression each.
  */
 void
 chainFPortable(const Sha256State &mid, ChainLanes &lanes, unsigned n,
-               unsigned count, Sha256Variant variant)
+               unsigned count)
 {
     const uint64_t bit_len = (mid.bytesCompressed + 22 + n) * 8;
     for (unsigned l = 0; l < count; ++l) {
@@ -420,10 +414,7 @@ chainFPortable(const Sha256State &mid, ChainLanes &lanes, unsigned n,
             block[20] = static_cast<uint8_t>(p >> 8);
             block[21] = static_cast<uint8_t>(p);
             std::array<uint32_t, 8> h = mid.h;
-            if (variant == Sha256Variant::Native)
-                sha256CompressNative(h, block);
-            else
-                sha256CompressPtx(h, block);
+            sha256CompressNative(h, block);
             uint8_t digest[Sha256::digestSize];
             for (unsigned i = 0; i < 8; ++i)
                 storeBe32(digest + 4 * i, h[i]);
@@ -455,8 +446,7 @@ ChainLanes::storeCapture(unsigned l, uint8_t *out, unsigned n) const
 
 void
 sha256ChainF(unsigned call_width, unsigned n, unsigned count,
-             const Sha256State &mid, ChainLanes &lanes,
-             Sha256Variant variant)
+             const Sha256State &mid, ChainLanes &lanes)
 {
     if (count > maxSha256Lanes)
         throw std::invalid_argument(
@@ -471,7 +461,7 @@ sha256ChainF(unsigned call_width, unsigned n, unsigned count,
         throw std::invalid_argument(
             "sha256ChainF: count exceeds the SIMD call width");
     if (call_width == 0) {
-        chainFPortable(mid, lanes, n, count, variant);
+        chainFPortable(mid, lanes, n, count);
         return;
     }
     const bool x16 = call_width == 16;

@@ -226,16 +226,14 @@ class Sha256Lanes
     static constexpr size_t digestSize = Sha256::digestSize;
     static constexpr size_t blockSize = Sha256::blockSize;
 
-    explicit Sha256Lanes(unsigned width,
-                         Sha256Variant variant = Sha256Variant::Native);
+    explicit Sha256Lanes(unsigned width);
 
     /**
      * Resume all lanes from one captured mid-state — the SPHINCS+
      * per-keypair "pk_seed || padding" state shared by every
      * tweakable-hash call under one key.
      */
-    Sha256Lanes(unsigned width, const Sha256State &state,
-                Sha256Variant variant = Sha256Variant::Native);
+    Sha256Lanes(unsigned width, const Sha256State &state);
 
     unsigned width() const { return width_; }
 
@@ -257,7 +255,6 @@ class Sha256Lanes
     size_t bufLen_;
     uint64_t total_;
     unsigned width_;
-    Sha256Variant variant_;
     bool avx2_;
     bool avx512_;
 };
@@ -374,16 +371,15 @@ void sha256ChainF8SeededAvx2(const Sha256State &mid, ChainLanes &lanes);
  * Run one chain call over lanes [0, @p count) of @p lanes with value
  * length @p n: @p call_width 16 or 8 selects the AVX-512 or AVX2
  * kernel (chainKernelCovers(n) must hold, and the ghost lanes past
- * count must be dead); 0 runs the portable walk, one scalar
- * compression of @p variant per live lane and step, for any n up to
- * 32. Every tier leaves bit-identical values and captures. Does not
+ * count must be dead); 0 runs the portable walk, one
+ * sha256CompressNative per live lane and step, for any n up to 32.
+ * Every tier leaves bit-identical values and captures. Does not
  * touch Sha256::compressionCount() — callers account. Throws
  * std::invalid_argument for count > maxSha256Lanes, n > 32, a call
  * width other than 0, 8 or 16, or count > call_width on a SIMD call.
  */
 void sha256ChainF(unsigned call_width, unsigned n, unsigned count,
-                  const Sha256State &mid, ChainLanes &lanes,
-                  Sha256Variant variant = Sha256Variant::Native);
+                  const Sha256State &mid, ChainLanes &lanes);
 
 } // namespace herosign
 

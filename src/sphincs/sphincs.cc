@@ -112,8 +112,7 @@ splitDigest(const Params &params, ByteSpan digest)
     return out;
 }
 
-SphincsPlus::SphincsPlus(const Params &params, Sha256Variant variant)
-    : params_(params), variant_(variant)
+SphincsPlus::SphincsPlus(const Params &params) : params_(params)
 {
     params_.validate();
 }
@@ -133,7 +132,7 @@ SphincsPlus::requireContext(const Context &ctx, ByteSpan pk_seed,
 ByteVec
 SphincsPlus::computePkRoot(ByteSpan sk_seed, ByteSpan pk_seed) const
 {
-    Context ctx(params_, pk_seed, sk_seed, variant_);
+    Context ctx(params_, pk_seed, sk_seed);
     ByteVec root(params_.n);
     uint8_t *root_out = root.data();
     const uint64_t tree = 0;
@@ -173,7 +172,7 @@ ByteVec
 SphincsPlus::sign(ByteSpan msg, const SecretKey &sk,
                   ByteSpan opt_rand) const
 {
-    Context ctx(params_, sk.pkSeed, sk.skSeed, variant_);
+    Context ctx(params_, sk.pkSeed, sk.skSeed);
     return sign(ctx, msg, sk, opt_rand);
 }
 
@@ -264,7 +263,7 @@ SphincsPlus::verify(ByteSpan msg, ByteSpan sig, const PublicKey &pk) const
 {
     if (sig.size() != params_.sigBytes())
         return false;
-    Context ctx(params_, pk.pkSeed, {}, variant_);
+    Context ctx(params_, pk.pkSeed, {});
     return verify(ctx, msg, sig, pk);
 }
 

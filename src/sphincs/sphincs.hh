@@ -88,8 +88,7 @@ DigestSplit splitDigest(const Params &params, ByteSpan digest);
 class SphincsPlus
 {
   public:
-    explicit SphincsPlus(const Params &params,
-                         Sha256Variant variant = Sha256Variant::Native);
+    explicit SphincsPlus(const Params &params);
 
     const Params &params() const { return params_; }
 
@@ -197,7 +196,6 @@ class SphincsPlus
                         const char *who) const;
 
     Params params_;
-    Sha256Variant variant_;
 };
 
 } // namespace herosign::sphincs

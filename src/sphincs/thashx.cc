@@ -56,7 +56,6 @@ thashXOneBlock(uint8_t *const out[], const Context &ctx,
     }
 
     const LaneDispatch d = laneDispatch();
-    const bool native = ctx.variant() == Sha256Variant::Native;
     // Ghost lanes of a padded call hash lane 0's block into the
     // digest rows past count, which nothing reads back.
     for (unsigned l = count; l < maxHashLanes; ++l)
@@ -67,8 +66,7 @@ thashXOneBlock(uint8_t *const out[], const Context &ctx,
         dptrs[l] = digests[l];
 
     unsigned l = 0;
-    while (const unsigned w =
-               native ? laneCallWidth(d.avx2, d.avx512, count - l) : 0) {
+    while (const unsigned w = laneCallWidth(d.avx2, d.avx512, count - l)) {
         if (w == 16)
             sha256Final16SeededAvx512(mid.h, bptrs + l, dptrs + l);
         else
@@ -88,10 +86,7 @@ thashXOneBlock(uint8_t *const out[], const Context &ctx,
     }
     for (; l < count; ++l) {
         std::array<uint32_t, 8> h = mid.h;
-        if (native)
-            sha256CompressNative(h, blocks[l]);
-        else
-            sha256CompressPtx(h, blocks[l]);
+        sha256CompressNative(h, blocks[l]);
         for (int i = 0; i < 8; ++i)
             storeBe32(digests[l] + 4 * i, h[i]);
     }
@@ -118,7 +113,7 @@ thashX(uint8_t *const out[], const Context &ctx, const Address adrs[],
     // Long inputs (e.g. the T_len public-key compression of a whole
     // leaf's chains): the incremental lane engine at exactly the
     // batch's width — it picks the widest kernels internally.
-    Sha256Lanes hasher(count, ctx.seededState(), ctx.variant());
+    Sha256Lanes hasher(count, ctx.seededState());
 
     std::array<uint8_t, Address::compressedSize> adrs_c[maxHashLanes];
     const uint8_t *ptrs[maxHashLanes];

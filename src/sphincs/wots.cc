@@ -168,8 +168,7 @@ advanceChains(const WotsChainSet sets[], unsigned count,
     std::sort(keys, keys + live);
 
     const LaneDispatch d = laneDispatch();
-    const bool simd = ctx.variant() == Sha256Variant::Native &&
-                      chainKernelCovers(n);
+    const bool simd = chainKernelCovers(n);
     ChainLanes lanes{};
     for (unsigned g = 0; g < live;) {
         // Full calls of the dispatched width, a padded call for a
@@ -197,7 +196,7 @@ advanceChains(const WotsChainSet sets[], unsigned count,
             lanes.capPos[l] = cs.capOut ? cs.capPos[i] : UINT32_MAX;
             steps += cs.end[i] - cs.start[i];
         }
-        sha256ChainF(call, n, m, ctx.seededState(), lanes, ctx.variant());
+        sha256ChainF(call, n, m, ctx.seededState(), lanes);
 
         // Fault seam: a simd-lane rule corrupts the result of one real
         // lane of a SIMD chain call — never a ghost lane, never the

@@ -67,11 +67,11 @@ struct WotsChainSet
  * (sha256ChainF16SeededAvx512 / sha256ChainF8SeededAvx2); a ragged
  * tail of two or more chains runs as one padded call of the narrowest
  * covering tier and a lone chain runs scalar. Forced-scalar dispatch,
- * quarantine, Sha256Variant::Ptx contexts and value lengths the
- * kernels do not cover run the same packing on the portable walk with
- * the context's scalar compression. Values, captures and
- * Sha256::compressionCount() (exactly the sum of end - start over all
- * chains) are identical on every tier, and to genChain() per chain.
+ * quarantine and value lengths the kernels do not cover run the same
+ * packing on the portable walk, one sha256CompressNative per step.
+ * Values, captures and Sha256::compressionCount() (exactly the sum of
+ * end - start over all chains) are identical on every tier, and to
+ * genChain() per chain.
  * @param count 0..maxHashLanes sets
  */
 void advanceChains(const WotsChainSet sets[], unsigned count,

@@ -33,8 +33,7 @@ namespace herosign::telemetry
 
 struct TelemetryConfig
 {
-    /// Runtime master switch; compile-time switch is
-    /// HEROSIGN_ENABLE_TELEMETRY (see trace.hh).
+    /// Master switch, also settable later via Telemetry::setEnabled.
     bool enabled = true;
     /// Record a full TraceSpan for every Nth completed request
     /// (per plane, deterministic). 0 disables span sampling.
@@ -66,12 +65,11 @@ class Telemetry
   public:
     explicit Telemetry(const TelemetryConfig &config = {});
 
-    /** True when telemetry is compiled in and runtime-enabled. */
+    /** True when telemetry is enabled. */
     bool
     enabled() const
     {
-        return compiledIn() &&
-               enabled_.load(std::memory_order_relaxed);
+        return enabled_.load(std::memory_order_relaxed);
     }
 
     void

@@ -9,12 +9,9 @@
  * end-to-end latency into queue-wait / coalesce-wait / crypto /
  * guard / callback stages, each feeding its own per-plane histogram.
  *
- * The compile-time kill switch: building with
- * -DHEROSIGN_TELEMETRY_DISABLED (CMake option
- * HEROSIGN_ENABLE_TELEMETRY=OFF) makes compiledIn() a constexpr
- * false, so every stamp and record folds away entirely. With
- * telemetry compiled in but runtime-disabled, the cost is one
- * relaxed-load branch per stamp.
+ * With telemetry runtime-disabled (TelemetryConfig::enabled,
+ * Telemetry::setEnabled) the cost is one relaxed-load branch per
+ * stamp.
  */
 
 #ifndef HEROSIGN_TELEMETRY_TRACE_HH
@@ -86,16 +83,6 @@ stageMetricName(StageMetric m)
         return "end_to_end";
     }
     return "unknown";
-}
-
-constexpr bool
-compiledIn()
-{
-#ifdef HEROSIGN_TELEMETRY_DISABLED
-    return false;
-#else
-    return true;
-#endif
 }
 
 /** Monotonic wall-free nanosecond clock used for every stamp. */

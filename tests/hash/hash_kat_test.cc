@@ -2,10 +2,7 @@
  * @file
  * Published known-answer tests for the whole hash substrate: FIPS
  * 180-4 / NIST CAVP vectors for SHA-256 and SHA-512, RFC 4231 vectors
- * for HMAC-SHA-256, and RFC 8017 MGF1-SHA-256 vectors. Every SHA-256
- * vector is checked on both the Native and PTX-flavoured compression
- * branches — the KATs are the ground truth the PTX equivalence claims
- * rest on.
+ * for HMAC-SHA-256, and RFC 8017 MGF1-SHA-256 vectors.
  */
 
 #include <gtest/gtest.h>
@@ -30,9 +27,9 @@ strBytes(const std::string &s)
 }
 
 std::string
-sha256Hex(ByteSpan data, Sha256Variant v)
+sha256Hex(ByteSpan data)
 {
-    auto d = Sha256::digest(data, v);
+    auto d = Sha256::digest(data);
     return hexEncode(ByteSpan(d.data(), d.size()));
 }
 
@@ -91,24 +88,20 @@ const HashVector sha512Vectors[] = {
 
 } // namespace
 
-class Sha256Kat : public ::testing::TestWithParam<Sha256Variant>
-{
-};
-
-TEST_P(Sha256Kat, PublishedVectors)
+TEST(Sha256Kat, PublishedVectors)
 {
     for (const auto &v : sha256Vectors) {
         ByteVec msg = hexDecode(v.msgHex);
-        EXPECT_EQ(sha256Hex(msg, GetParam()), v.digestHex)
+        EXPECT_EQ(sha256Hex(msg), v.digestHex)
             << "msg=" << v.msgHex;
     }
 }
 
-TEST_P(Sha256Kat, MillionA)
+TEST(Sha256Kat, MillionA)
 {
     // FIPS 180-4 long-message example: 1,000,000 repetitions of 'a',
     // absorbed in uneven chunks to exercise the buffering path.
-    Sha256 ctx(GetParam());
+    Sha256 ctx;
     ByteVec chunk(997, 'a');
     size_t fed = 0;
     while (fed < 1000000) {
@@ -122,12 +115,6 @@ TEST_P(Sha256Kat, MillionA)
         hexEncode(ByteSpan(out, sizeof(out))),
         "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
-
-INSTANTIATE_TEST_SUITE_P(BothVariants, Sha256Kat,
-    ::testing::Values(Sha256Variant::Native, Sha256Variant::Ptx),
-    [](const ::testing::TestParamInfo<Sha256Variant> &info) {
-        return info.param == Sha256Variant::Native ? "Native" : "Ptx";
-    });
 
 TEST(Sha512Kat, PublishedVectors)
 {

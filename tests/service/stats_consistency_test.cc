@@ -231,8 +231,6 @@ TEST(StatsConsistency, MergedWithFoldsPerTenantLatency)
 
 TEST(StatsConsistency, SharedRegistryFabricMergeMatchesPlaneSums)
 {
-    if (!telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     Fixture fx;
     ServiceConfig cfg;
     cfg.workers = 2;

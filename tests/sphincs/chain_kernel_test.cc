@@ -6,8 +6,8 @@
  * every lane tier. Covers full chains, seeded ragged start/end
  * (start == end included), captures at the start, mid-chain and at
  * the end, 1..16 live chains (so padded calls carry ghost lanes), the
- * exact compression charge, Ptx contexts, the simd-lane fault seam,
- * and sha256ChainF's rejection of out-of-range arguments.
+ * exact compression charge, the simd-lane fault seam, and
+ * sha256ChainF's rejection of out-of-range arguments.
  */
 
 #include <gtest/gtest.h>
@@ -52,13 +52,12 @@ struct ChainCase
 };
 
 Context
-makeContext(const Params &p, uint64_t seed,
-            Sha256Variant variant = Sha256Variant::Native)
+makeContext(const Params &p, uint64_t seed)
 {
     Rng rng(seed);
     ByteVec pk_seed = rng.bytes(p.n);
     ByteVec sk_seed = rng.bytes(p.n);
-    return Context(p, pk_seed, sk_seed, variant);
+    return Context(p, pk_seed, sk_seed);
 }
 
 Address
@@ -136,12 +135,11 @@ reference(const Context &ctx, const ChainCase &c, uint8_t *vals,
 
 /**
  * Run @p cases through advanceChains() under @p ctx and check values,
- * captures and the compression charge against the scalar reference
- * computed under @p ref_ctx.
+ * captures and the compression charge against the scalar reference.
  */
 void
-expectAdvanceChainsMatchesGenChain(const Context &ctx, const Context &ref_ctx,
-                            const std::vector<ChainCase> &cases)
+expectAdvanceChainsMatchesGenChain(const Context &ctx,
+                                   const std::vector<ChainCase> &cases)
 {
     const Params &p = ctx.params();
     const size_t bytes = static_cast<size_t>(p.wotsLen()) * p.n;
@@ -151,7 +149,7 @@ expectAdvanceChainsMatchesGenChain(const Context &ctx, const Context &ref_ctx,
     std::vector<ByteVec> want_caps(count, ByteVec(bytes));
     uint64_t want_steps = 0;
     for (size_t s = 0; s < count; ++s) {
-        reference(ref_ctx, cases[s], want_vals[s].data(),
+        reference(ctx, cases[s], want_vals[s].data(),
                   want_caps[s].data());
         for (unsigned i = 0; i < p.wotsLen(); ++i)
             want_steps += cases[s].end[i] - cases[s].start[i];
@@ -205,7 +203,7 @@ TEST(ChainKernel, FullChainsMatchGenChain)
                 }
                 cases.push_back(c);
             }
-            expectAdvanceChainsMatchesGenChain(ctx, ctx, cases);
+            expectAdvanceChainsMatchesGenChain(ctx, cases);
         }
     }
 }
@@ -229,7 +227,7 @@ TEST(ChainKernel, RaggedRangesAndCapturesMatchGenChain)
                         randomRange(c, i, p, rng);
                     cases.push_back(c);
                 }
-                expectAdvanceChainsMatchesGenChain(ctx, ctx, cases);
+                expectAdvanceChainsMatchesGenChain(ctx, cases);
             }
         }
     }
@@ -261,31 +259,8 @@ TEST(ChainKernel, OneToSixteenLiveChains)
                                   static_cast<uint32_t>(rng.below(
                                       c.end[i] - c.start[i] + 1));
                 }
-                expectAdvanceChainsMatchesGenChain(ctx, ctx, {c});
+                expectAdvanceChainsMatchesGenChain(ctx, {c});
             }
-        }
-    }
-}
-
-TEST(ChainKernel, PtxContextMatchesNativeBytes)
-{
-    for (const auto &tier : laneTiers) {
-        ScopedTier pin(tier);
-        for (const Params *pp : paramSets) {
-            const Params &p = *pp;
-            SCOPED_TRACE(std::string(tier.name) + " " + p.name);
-            Context native = makeContext(p, 7);
-            Context ptx = makeContext(p, 7, Sha256Variant::Ptx);
-            Rng rng(8);
-            std::vector<ChainCase> cases;
-            for (unsigned s = 0; s < 2; ++s) {
-                ChainCase c = deadCase(p, rng);
-                c.capture = true;
-                for (unsigned i = 0; i < p.wotsLen(); ++i)
-                    randomRange(c, i, p, rng);
-                cases.push_back(c);
-            }
-            expectAdvanceChainsMatchesGenChain(ptx, native, cases);
         }
     }
 }
@@ -354,7 +329,7 @@ TEST(ChainKernel, UncoveredValueLengthRunsThePortableWalk)
                 randomRange(c, i, p, rng);
             cases.push_back(c);
         }
-        expectAdvanceChainsMatchesGenChain(ctx, ctx, cases);
+        expectAdvanceChainsMatchesGenChain(ctx, cases);
     }
 }
 

@@ -17,6 +17,7 @@
 #include "common/hex.hh"
 #include "common/random.hh"
 #include "hash/sha256xN.hh"
+#include "lane_tiers.hh"
 #include "sphincs/fors.hh"
 #include "sphincs/merkle.hh"
 #include "sphincs/sphincs.hh"
@@ -25,6 +26,8 @@
 
 using namespace herosign;
 using namespace herosign::sphincs;
+using herosign::sphincs::test::laneTiers;
+using herosign::sphincs::test::ScopedTier;
 
 namespace
 {
@@ -94,34 +97,6 @@ TEST(ThashX, PrfBatchMatchesScalar)
     }
 }
 
-/** One lane tier, pinned for a scope and released on exit. */
-struct LaneTier
-{
-    const char *name;
-    bool scalar;
-    bool noAvx512;
-};
-
-constexpr LaneTier laneTiers[] = {
-    {"forced-scalar", true, false},
-    {"width-8", false, true},
-    {"widest", false, false},
-};
-
-struct ScopedTier
-{
-    explicit ScopedTier(const LaneTier &tier)
-    {
-        sha256LanesForceScalar(tier.scalar);
-        sha256LanesDisableAvx512(tier.noAvx512);
-    }
-    ~ScopedTier()
-    {
-        sha256LanesForceScalar(false);
-        sha256LanesDisableAvx512(false);
-    }
-};
-
 /**
  * One thashX batch of @p count lanes against per-lane scalar thash
  * calls: equal digests, and a compression charge of count times the
@@ -170,7 +145,7 @@ TEST(ThashX, PartialBatchesMatchScalar)
     // lone scalar lane, padded x8 and x16 tails, and full calls
     // followed by a padded tail.
     Rng rng(32);
-    for (const LaneTier &tier : laneTiers) {
+    for (const auto &tier : laneTiers) {
         ScopedTier pin(tier);
         for (const Params *pp : {&Params::sphincs128f(),
                                  &Params::sphincs192f(),

@@ -105,8 +105,6 @@ countOccurrences(const std::string &hay, const std::string &needle)
 
 TEST(Export, LiveFabricSnapshotCarriesStageHistograms)
 {
-    if (!telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     Fabric fx;
     const ServiceStats snap = runFabric(fx);
     ASSERT_EQ(snap.signsCompleted, 12u);
@@ -171,12 +169,9 @@ TEST(Export, JsonIsSingleLineWithExpectedSections)
          {"\"counters\"", "\"gauges\"", "\"cache\"", "\"tenants\"",
           "\"signs_completed\""})
         EXPECT_NE(json.find(key), std::string::npos) << key;
-    if (telemetry::compiledIn()) {
-        EXPECT_NE(json.find("\"stages\""), std::string::npos);
-        EXPECT_NE(json.find("\"sign_end_to_end\""),
-                  std::string::npos);
-        EXPECT_NE(json.find("\"p99_ns\""), std::string::npos);
-    }
+    EXPECT_NE(json.find("\"stages\""), std::string::npos);
+    EXPECT_NE(json.find("\"sign_end_to_end\""), std::string::npos);
+    EXPECT_NE(json.find("\"p99_ns\""), std::string::npos);
 }
 
 TEST(Export, PrometheusOutputPassesFormatChecker)
@@ -198,20 +193,17 @@ TEST(Export, PrometheusOutputPassesFormatChecker)
     EXPECT_NE(prom.find("herosign_signs_completed_total"),
               std::string::npos);
     EXPECT_NE(prom.find("herosign_queue_depth"), std::string::npos);
-    if (telemetry::compiledIn()) {
-        EXPECT_NE(prom.find("herosign_stage_latency_seconds_bucket"),
-                  std::string::npos);
-        EXPECT_NE(prom.find("plane=\"sign\""), std::string::npos);
-        EXPECT_NE(prom.find("stage=\"end_to_end\""),
-                  std::string::npos);
-        EXPECT_NE(prom.find("herosign_tenant_latency_seconds"),
-                  std::string::npos);
-        // One +Inf bucket per emitted histogram series (each series
-        // also emits exactly one _count sample).
-        EXPECT_GT(countOccurrences(prom, "le=\"+Inf\""), 0u);
-        EXPECT_EQ(countOccurrences(prom, "le=\"+Inf\""),
-                  countOccurrences(prom, "_count{"));
-    }
+    EXPECT_NE(prom.find("herosign_stage_latency_seconds_bucket"),
+              std::string::npos);
+    EXPECT_NE(prom.find("plane=\"sign\""), std::string::npos);
+    EXPECT_NE(prom.find("stage=\"end_to_end\""), std::string::npos);
+    EXPECT_NE(prom.find("herosign_tenant_latency_seconds"),
+              std::string::npos);
+    // One +Inf bucket per emitted histogram series (each series also
+    // emits exactly one _count sample).
+    EXPECT_GT(countOccurrences(prom, "le=\"+Inf\""), 0u);
+    EXPECT_EQ(countOccurrences(prom, "le=\"+Inf\""),
+              countOccurrences(prom, "_count{"));
 }
 
 TEST(Export, PromCheckRejectsMalformedExposition)

@@ -164,8 +164,6 @@ TEST(TraceRecorder, ConcurrentRecordAndDumpNeverTear)
 
 TEST(Telemetry, SamplesDeterministicallyOneInN)
 {
-    if (!compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryConfig cfg;
     cfg.sampleEvery = 4;
     cfg.traceCapacity = 256;
@@ -203,8 +201,6 @@ TEST(Telemetry, SamplesDeterministicallyOneInN)
 
 TEST(Telemetry, SampleEveryZeroDisablesSpans)
 {
-    if (!compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryConfig cfg;
     cfg.sampleEvery = 0;
     cfg.histogramShards = 1;
@@ -222,8 +218,6 @@ TEST(Telemetry, SampleEveryZeroDisablesSpans)
 
 TEST(Telemetry, FailedRequestsSkipHistogramsButKeepSpans)
 {
-    if (!compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryConfig cfg;
     cfg.sampleEvery = 1;
     cfg.histogramShards = 1;
@@ -259,17 +253,13 @@ TEST(Telemetry, RuntimeDisableStopsStampsAndCompletions)
     EXPECT_EQ(tel.sampled(), 0u);
     EXPECT_TRUE(tel.snapshotAll().empty());
 
-    if (compiledIn()) {
-        tel.setEnabled(true);
-        tel.stamp(tc, Stage::Admit);
-        EXPECT_TRUE(tc.stamped(Stage::Admit));
-    }
+    tel.setEnabled(true);
+    tel.stamp(tc, Stage::Admit);
+    EXPECT_TRUE(tc.stamped(Stage::Admit));
 }
 
 TEST(Telemetry, GroupShapeHistogramsTrackFillRatio)
 {
-    if (!compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryConfig cfg;
     cfg.histogramShards = 1;
     Telemetry tel(cfg);
