@@ -117,9 +117,9 @@ main(int argc, char **argv)
         // exactly). Everything below is "vs" this row, so the
         // single-thread xN row isolates the SIMD backend speedup and
         // the worker rows show threading on top.
-        sha256LanesForceScalar(true);
+        sha256LanesSetCeiling(LaneBackend::Scalar);
         const MeasureResult ref = scalarSignRun(scheme, kp.sk, msgs);
-        sha256LanesForceScalar(false);
+        sha256LanesSetCeiling(LaneBackend::Avx512);
         const double ref_rate = ref.opsPerSec();
         table.addRow({p.name, "scalar lanes (SIMD off)",
                       std::to_string(ref.iters),
@@ -130,10 +130,11 @@ main(int argc, char **argv)
         // measures the same portable lanes as the reference.
         const MeasureResult xn = scalarSignRun(scheme, kp.sk, msgs);
         const double xn_rate = xn.opsPerSec();
+        const LaneBackend tier = laneDispatch().backend;
         const char *xn_label =
-            sha256LanesAvx512Active()  ? "single thread, x16 AVX-512"
-            : sha256LanesAvx2Active() ? "single thread, x8 AVX2"
-                                      : "single thread (no SIMD)";
+            tier == LaneBackend::Avx512 ? "single thread, x16 AVX-512"
+            : tier == LaneBackend::Avx2 ? "single thread, x8 AVX2"
+                                        : "single thread (no SIMD)";
         table.addRow({p.name, xn_label, std::to_string(xn.iters),
                       fmtF(xn.wallUs / 1000.0), fmtF(xn_rate, 1),
                       fmtX(xn_rate / ref_rate), "0"});
@@ -166,13 +167,14 @@ main(int argc, char **argv)
     struct Width
     {
         const char *name;
-        bool forceScalar, noAvx512;
+        LaneBackend ceiling;
     };
-    std::vector<Width> widths = {{"scalar", true, false}};
-    if (sha256LanesAvx2Active())
-        widths.push_back({"x8", false, true});
-    if (sha256LanesAvx512Active())
-        widths.push_back({"x16", false, false});
+    const LaneBackend widest = laneDispatch().backend;
+    std::vector<Width> widths = {{"scalar", LaneBackend::Scalar}};
+    if (widest >= LaneBackend::Avx2)
+        widths.push_back({"x8", LaneBackend::Avx2});
+    if (widest == LaneBackend::Avx512)
+        widths.push_back({"x16", LaneBackend::Avx512});
 
     TextTable scaling({"config", "set", "width", "workers", "mode",
                        "wall ms", "sigs/s", "vs within", "groups",
@@ -191,8 +193,7 @@ main(int argc, char **argv)
         auto msgs = makeBatch(rng, msgs_per_set);
 
         for (const Width &w : widths) {
-            sha256LanesForceScalar(w.forceScalar);
-            sha256LanesDisableAvx512(w.noAvx512);
+            sha256LanesSetCeiling(w.ceiling);
             for (unsigned workers : {1u, 2u, 4u, 8u, 16u}) {
                 double within_rate = 0;
                 for (bool cross : {false, true}) {
@@ -229,8 +230,7 @@ main(int argc, char **argv)
                          std::to_string(st.crossSignJobs)});
                 }
             }
-            sha256LanesForceScalar(false);
-            sha256LanesDisableAvx512(false);
+            sha256LanesSetCeiling(LaneBackend::Avx512);
         }
     }
     emit(opt,

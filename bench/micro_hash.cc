@@ -1,7 +1,7 @@
 /**
  * @file
- * google-benchmark micro benches for the hash substrate: native vs
- * PTX-flavoured SHA-256, HMAC and MGF1, the lane engine, the seeded
+ * google-benchmark micro benches for the hash substrate: scalar
+ * SHA-256, HMAC and MGF1, the lane engine at each tier, the seeded
  * single-block thashX shape, and the fused WOTS+ chain walk signing
  * spends most of its time in.
  */
@@ -13,7 +13,6 @@
 #include "hash/mgf1.hh"
 #include "hash/sha256.hh"
 #include "hash/sha256xN.hh"
-#include "hash/sha512.hh"
 #include "sphincs/thashx.hh"
 #include "sphincs/wots.hh"
 
@@ -29,32 +28,6 @@ BM_Sha256Native(benchmark::State &state)
     ByteVec data = rng.bytes(state.range(0));
     for (auto _ : state) {
         auto d = Sha256::digest(data);
-        benchmark::DoNotOptimize(d);
-    }
-    state.SetBytesProcessed(state.iterations() * data.size());
-}
-
-/** The PTX-formulation compression (prmt/mad) on one 64-byte block. */
-void
-BM_Sha256Ptx(benchmark::State &state)
-{
-    Rng rng(1);
-    ByteVec block = rng.bytes(Sha256::blockSize);
-    std::array<uint32_t, 8> h{};
-    for (auto _ : state) {
-        sha256CompressPtx(h, block.data());
-        benchmark::DoNotOptimize(h);
-    }
-    state.SetBytesProcessed(state.iterations() * block.size());
-}
-
-void
-BM_Sha512(benchmark::State &state)
-{
-    Rng rng(1);
-    ByteVec data = rng.bytes(state.range(0));
-    for (auto _ : state) {
-        auto d = Sha512::digest(data);
         benchmark::DoNotOptimize(d);
     }
     state.SetBytesProcessed(state.iterations() * data.size());
@@ -79,7 +52,7 @@ BM_HmacSha256(benchmark::State &state)
  */
 void
 runSha256Lanes(benchmark::State &state, unsigned width,
-               bool force_scalar, bool no_avx512)
+               LaneBackend ceiling)
 {
     Rng rng(1);
     const size_t len = static_cast<size_t>(state.range(0));
@@ -94,16 +67,14 @@ runSha256Lanes(benchmark::State &state, unsigned width,
     for (size_t l = 0; l < width; ++l)
         dptrs[l] = digests[l];
 
-    sha256LanesForceScalar(force_scalar);
-    sha256LanesDisableAvx512(no_avx512);
+    sha256LanesSetCeiling(ceiling);
     for (auto _ : state) {
         Sha256Lanes hasher(width);
         hasher.update(ptrs, len);
         hasher.final(dptrs);
         benchmark::DoNotOptimize(digests);
     }
-    sha256LanesForceScalar(false);
-    sha256LanesDisableAvx512(false);
+    sha256LanesSetCeiling(LaneBackend::Avx512);
     state.SetBytesProcessed(state.iterations() * len * width);
     state.SetItemsProcessed(state.iterations() * width);
 }
@@ -111,19 +82,19 @@ runSha256Lanes(benchmark::State &state, unsigned width,
 void
 BM_Sha256x16(benchmark::State &state)
 {
-    runSha256Lanes(state, 16, false, false);
+    runSha256Lanes(state, 16, LaneBackend::Avx512);
 }
 
 void
 BM_Sha256x8(benchmark::State &state)
 {
-    runSha256Lanes(state, 8, false, true);
+    runSha256Lanes(state, 8, LaneBackend::Avx2);
 }
 
 void
 BM_Sha256x8ScalarLanes(benchmark::State &state)
 {
-    runSha256Lanes(state, 8, true, false);
+    runSha256Lanes(state, 8, LaneBackend::Scalar);
 }
 
 /**
@@ -135,8 +106,7 @@ BM_Sha256x8ScalarLanes(benchmark::State &state)
  * beats per-lane scalar compressions (the "pad from 2 lanes" rule).
  */
 void
-runThashXOneBlock(benchmark::State &state, bool force_scalar,
-                  bool no_avx512)
+runThashXOneBlock(benchmark::State &state, LaneBackend ceiling)
 {
     using namespace herosign::sphincs;
     const Params &p = Params::sphincs128f();
@@ -159,34 +129,32 @@ runThashXOneBlock(benchmark::State &state, bool force_scalar,
         ins[l] = bufs[l];
     }
 
-    sha256LanesForceScalar(force_scalar);
-    sha256LanesDisableAvx512(no_avx512);
+    sha256LanesSetCeiling(ceiling);
     for (auto _ : state) {
         thashX(outs, ctx, adrs, ins, p.n, count);
         benchmark::DoNotOptimize(bufs[0]);
         benchmark::ClobberMemory();
     }
-    sha256LanesForceScalar(false);
-    sha256LanesDisableAvx512(false);
+    sha256LanesSetCeiling(LaneBackend::Avx512);
     state.SetItemsProcessed(state.iterations() * count);
 }
 
 void
 BM_ThashXOneBlockScalar(benchmark::State &state)
 {
-    runThashXOneBlock(state, true, false);
+    runThashXOneBlock(state, LaneBackend::Scalar);
 }
 
 void
 BM_ThashXOneBlockX8(benchmark::State &state)
 {
-    runThashXOneBlock(state, false, true);
+    runThashXOneBlock(state, LaneBackend::Avx2);
 }
 
 void
 BM_ThashXOneBlockX16(benchmark::State &state)
 {
-    runThashXOneBlock(state, false, false);
+    runThashXOneBlock(state, LaneBackend::Avx512);
 }
 
 /**
@@ -198,7 +166,7 @@ BM_ThashXOneBlockX16(benchmark::State &state)
  * block repacked from an Address and the digest copied out).
  */
 void
-runChainWalk(benchmark::State &state, bool force_scalar, bool no_avx512)
+runChainWalk(benchmark::State &state, LaneBackend ceiling)
 {
     using namespace herosign::sphincs;
     const Params &p = state.range(0) == 32 ? Params::sphincs256f()
@@ -220,15 +188,13 @@ runChainWalk(benchmark::State &state, bool force_scalar, bool no_avx512)
     set.start = start;
     set.end = end;
 
-    sha256LanesForceScalar(force_scalar);
-    sha256LanesDisableAvx512(no_avx512);
+    sha256LanesSetCeiling(ceiling);
     for (auto _ : state) {
         advanceChains(&set, 1, ctx);
         benchmark::DoNotOptimize(vals.data());
         benchmark::ClobberMemory();
     }
-    sha256LanesForceScalar(false);
-    sha256LanesDisableAvx512(false);
+    sha256LanesSetCeiling(LaneBackend::Avx512);
     state.SetItemsProcessed(state.iterations() * chains *
                             (p.wotsW - 1));
 }
@@ -236,19 +202,19 @@ runChainWalk(benchmark::State &state, bool force_scalar, bool no_avx512)
 void
 BM_ChainWalkScalar(benchmark::State &state)
 {
-    runChainWalk(state, true, false);
+    runChainWalk(state, LaneBackend::Scalar);
 }
 
 void
 BM_ChainWalkX8(benchmark::State &state)
 {
-    runChainWalk(state, false, true);
+    runChainWalk(state, LaneBackend::Avx2);
 }
 
 void
 BM_ChainWalkX16(benchmark::State &state)
 {
-    runChainWalk(state, false, false);
+    runChainWalk(state, LaneBackend::Avx512);
 }
 
 void
@@ -266,7 +232,6 @@ BM_Mgf1(benchmark::State &state)
 } // namespace
 
 BENCHMARK(BM_Sha256Native)->Arg(64)->Arg(576)->Arg(4096);
-BENCHMARK(BM_Sha256Ptx);
 BENCHMARK(BM_Sha256x16)->Arg(64)->Arg(576)->Arg(4096);
 BENCHMARK(BM_Sha256x8)->Arg(64)->Arg(576)->Arg(4096);
 BENCHMARK(BM_Sha256x8ScalarLanes)->Arg(64)->Arg(576)->Arg(4096);
@@ -276,6 +241,5 @@ BENCHMARK(BM_ThashXOneBlockX16)->DenseRange(1, 16);
 BENCHMARK(BM_ChainWalkScalar)->Arg(16)->Arg(32);
 BENCHMARK(BM_ChainWalkX8)->Arg(16)->Arg(32);
 BENCHMARK(BM_ChainWalkX16)->Arg(16)->Arg(32);
-BENCHMARK(BM_Sha512)->Arg(128)->Arg(4096);
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
 BENCHMARK(BM_Mgf1)->Arg(34)->Arg(49);

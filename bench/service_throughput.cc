@@ -175,17 +175,17 @@ main(int argc, char **argv)
 
         // Reference: one-at-a-time verify() with the lane engine
         // forced onto scalar lanes.
-        sha256LanesForceScalar(true);
+        sha256LanesSetCeiling(LaneBackend::Scalar);
         const MeasureResult ref =
             verifyEachRun(scheme, kp.pk, msgs, sigs);
-        sha256LanesForceScalar(false);
+        sha256LanesSetCeiling(LaneBackend::Avx512);
         const double ref_rate = ref.opsPerSec();
         vt.addRow({p.name, "verify() one at a time (SIMD off)",
                    std::to_string(ref.iters), fmtF(ref.wallUs / 1000.0),
                    fmtF(ref_rate, 1), fmtX(1.0)});
 
-        const bool simd = sha256LanesAvx2Active() ||
-                          sha256LanesAvx512Active();
+        const LaneBackend tier = laneDispatch().backend;
+        const bool simd = tier != LaneBackend::Scalar;
         const MeasureResult sc =
             verifyEachRun(scheme, kp.pk, msgs, sigs);
         const double sc_rate = sc.opsPerSec();
@@ -201,9 +201,9 @@ main(int argc, char **argv)
         const double bx_rate =
             bx.wallUs > 0 ? bx_sigs * 1e6 / bx.wallUs : 0.0;
         const char *bx_label =
-            sha256LanesAvx512Active()  ? "verifyBatch x16 AVX-512"
-            : sha256LanesAvx2Active() ? "verifyBatch x8 AVX2"
-                                      : "verifyBatch (no SIMD)";
+            tier == LaneBackend::Avx512 ? "verifyBatch x16 AVX-512"
+            : tier == LaneBackend::Avx2 ? "verifyBatch x8 AVX2"
+                                        : "verifyBatch (no SIMD)";
         vt.addRow({p.name, bx_label, std::to_string(bx_sigs),
                    fmtF(bx.wallUs / 1000.0), fmtF(bx_rate, 1),
                    fmtX(bx_rate / ref_rate)});

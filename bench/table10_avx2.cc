@@ -12,12 +12,17 @@
  * A second table scales worker threads (1/2/4/8/16) at each lane
  * width through the BatchSigner's cross-signature lane scheduler —
  * the row to hold against the paper's 16-thread AVX2 line
- * (0.828/0.560/0.356 KOPS). On a host with fewer cores the thread
- * rows flatten; the lane-width split remains.
+ * (0.828/0.560/0.356 KOPS). Each cell signs back-to-back batches of
+ * 4 x workers x lane width messages for at least 0.5 s and at least
+ * five batches, and prints the median batch rate with its quartiles,
+ * so cells are compared against their own spread. On a host with
+ * fewer cores the thread rows flatten; the lane-width split remains.
  *
- * Flags: --iters N (signatures per measurement, default 3), --csv.
+ * Flags: --iters N (signatures per single-thread measurement,
+ * default 3), --csv.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -26,6 +31,7 @@
 #include "common/random.hh"
 #include "hash/sha256xN.hh"
 #include "sphincs/sphincs.hh"
+#include "sphincs/thashx.hh"
 
 using namespace herosign;
 using namespace herosign::bench;
@@ -35,61 +41,74 @@ using sphincs::SphincsPlus;
 namespace
 {
 
-/** KOPS of a threaded cross-signature BatchSigner run. */
+/** q-quantile (0..1) of @p v, interpolated between order statistics. */
 double
-measureThreadedKops(const Params &p, bool force_scalar, bool no_avx512,
-                    unsigned workers, unsigned msgs)
+quantile(std::vector<double> v, double q)
+{
+    std::sort(v.begin(), v.end());
+    const double pos = q * (v.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - lo) * (v[hi] - v[lo]);
+}
+
+/**
+ * One thread-scaling cell: KOPS of back-to-back batches of
+ * 4 x workers x lane width messages through a cross-signature
+ * BatchSigner, pinned to @p ceiling, as "median (q1-q3)" over at
+ * least five batches and 0.5 s.
+ */
+std::string
+threadedKopsCell(const Params &p, LaneBackend ceiling, unsigned workers)
 {
     using batch::BatchSigner;
     using batch::BatchSignerConfig;
 
+    sha256LanesSetCeiling(ceiling);
     sphincs::SphincsPlus scheme(p);
     Rng rng(1);
     auto kp = scheme.keygen(rng);
-    std::vector<ByteVec> batch;
-    batch.reserve(msgs);
-    for (unsigned i = 0; i < msgs; ++i)
-        batch.push_back(rng.bytes(64));
+    std::vector<ByteVec> batch(4 * workers * sphincs::hashLaneWidth());
+    for (auto &m : batch)
+        m = rng.bytes(64);
 
-    sha256LanesForceScalar(force_scalar);
-    sha256LanesDisableAvx512(no_avx512);
     BatchSignerConfig cfg;
     cfg.workers = workers;
     cfg.shards = 4;
     BatchSigner signer(p, kp.sk, cfg);
-    {
-        auto warm = signer.submit({rng.bytes(64), {}, {}, {}});
-        warm.get();
-        signer.drain();
-    }
-    auto reqs = signRequests(batch);
-    auto futures = signer.submitMany(reqs);
-    for (auto &f : futures)
-        f.get();
-    auto st = signer.drain();
-    sha256LanesForceScalar(false);
-    sha256LanesDisableAvx512(false);
-    return st.sigsPerSec / 1000.0; // KOPS
+    std::vector<double> kops;
+    auto sign_batch = [&] {
+        auto reqs = signRequests(batch);
+        for (auto &f : signer.submitMany(reqs))
+            f.get();
+        kops.push_back(signer.drain().sigsPerSec / 1000.0);
+    };
+    sign_batch(); // warm-up
+    kops.clear();
+    measureFor(0.5, 0, sign_batch);
+    while (kops.size() < 5)
+        sign_batch();
+    sha256LanesSetCeiling(LaneBackend::Avx512);
+    return fmtF(quantile(kops, 0.5), 3) + " (" +
+           fmtF(quantile(kops, 0.25), 3) + "-" +
+           fmtF(quantile(kops, 0.75), 3) + ")";
 }
 
 double
-measureKops(const Params &p, bool force_scalar, bool no_avx512,
-            unsigned iters)
+measureKops(const Params &p, LaneBackend ceiling, unsigned iters)
 {
     SphincsPlus scheme(p);
     Rng rng(1);
     auto kp = scheme.keygen(rng);
     ByteVec msg = rng.bytes(64);
 
-    sha256LanesForceScalar(force_scalar);
-    sha256LanesDisableAvx512(no_avx512);
+    sha256LanesSetCeiling(ceiling);
     scheme.sign(msg, kp.sk); // warm-up
     auto t0 = std::chrono::steady_clock::now();
     for (unsigned i = 0; i < iters; ++i)
         scheme.sign(msg, kp.sk);
     auto t1 = std::chrono::steady_clock::now();
-    sha256LanesForceScalar(false);
-    sha256LanesDisableAvx512(false);
+    sha256LanesSetCeiling(LaneBackend::Avx512);
 
     const double us =
         std::chrono::duration<double, std::micro>(t1 - t0).count() /
@@ -103,8 +122,7 @@ int
 main(int argc, char **argv)
 {
     Options o = Options::parse(argc, argv, {"--iters N"});
-    const unsigned given = o.count("--iters", 0);
-    const unsigned iters = given ? given : 3;
+    const unsigned iters = o.count("--iters", 3);
 
     struct Literature
     {
@@ -120,17 +138,19 @@ main(int argc, char **argv)
                             &Params::sphincs192f(),
                             &Params::sphincs256f()};
 
-    // Active (not merely supported): the HEROSIGN_DISABLE_* knobs
-    // must not mislabel narrower-path numbers as a SIMD row.
-    const bool have_avx2 = sha256LanesAvx2Active();
-    const bool have_avx512 = sha256LanesAvx512Active();
+    // The dispatched tier, not merely the compiled one: the
+    // HEROSIGN_DISABLE_* knobs must not mislabel narrower-path
+    // numbers as a SIMD row.
+    const LaneBackend widest = laneDispatch().backend;
+    const bool have_avx2 = widest >= LaneBackend::Avx2;
+    const bool have_avx512 = widest == LaneBackend::Avx512;
     double scalar[3], x8[3], x16[3];
     for (int i = 0; i < 3; ++i) {
-        scalar[i] = measureKops(*sets[i], true, false, iters);
-        x8[i] = have_avx2 ? measureKops(*sets[i], false, true, iters)
+        scalar[i] = measureKops(*sets[i], LaneBackend::Scalar, iters);
+        x8[i] = have_avx2 ? measureKops(*sets[i], LaneBackend::Avx2, iters)
                           : 0.0;
         x16[i] = have_avx512
-                     ? measureKops(*sets[i], false, false, iters)
+                     ? measureKops(*sets[i], LaneBackend::Avx512, iters)
                      : 0.0;
     }
 
@@ -177,37 +197,34 @@ main(int argc, char **argv)
     struct Backend
     {
         const char *name;
-        bool forceScalar, noAvx512;
+        LaneBackend ceiling;
     };
-    std::vector<Backend> backends = {{"scalar", true, false}};
+    std::vector<Backend> backends = {{"scalar", LaneBackend::Scalar}};
     if (have_avx2)
-        backends.push_back({"x8 AVX2", false, true});
+        backends.push_back({"x8 AVX2", LaneBackend::Avx2});
     if (have_avx512)
-        backends.push_back({"x16 AVX-512", false, false});
+        backends.push_back({"x16 AVX-512", LaneBackend::Avx512});
 
-    const unsigned msgs = given ? given * 4 : 16;
     TextTable ts({"Configuration", "128f KOPS", "192f KOPS",
                   "256f KOPS"});
     ts.addRow({"AVX2 16 threads (paper)", fmtF(lit[0].threads16, 3),
                fmtF(lit[1].threads16, 3), fmtF(lit[2].threads16, 3)});
     for (const Backend &b : backends) {
         for (unsigned threads : {1u, 2u, 4u, 8u, 16u}) {
-            double kops[3];
-            for (int i = 0; i < 3; ++i)
-                kops[i] = measureThreadedKops(*sets[i], b.forceScalar,
-                                              b.noAvx512, threads,
-                                              msgs);
-            ts.addRow({std::string(b.name) + ", " +
-                           std::to_string(threads) +
-                           (threads == 1 ? " thread" : " threads"),
-                       fmtF(kops[0], 3), fmtF(kops[1], 3),
-                       fmtF(kops[2], 3)});
+            std::vector<std::string> row = {
+                std::string(b.name) + ", " + std::to_string(threads) +
+                (threads == 1 ? " thread" : " threads")};
+            for (const Params *set : sets)
+                row.push_back(threadedKopsCell(*set, b.ceiling, threads));
+            ts.addRow(row);
         }
     }
     emit(o, "Table X+: thread scaling (KOPS, cross-signature batching)",
          ts,
          "BatchSigner workers coalescing queued signatures into "
-         "lockstep lane groups; hardware threads on this host: " +
+         "lockstep lane groups; each cell is the median (quartiles) "
+         "of >= 5 batches of 4 x workers x lane width messages; "
+         "hardware threads on this host: " +
              std::to_string(std::thread::hardware_concurrency()) +
              ". Hold the 16-thread rows against the paper's AVX2 "
              "16-thread line.");

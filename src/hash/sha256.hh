@@ -2,14 +2,12 @@
  * @file
  * SHA-256 (FIPS 180-4) with an incremental API and mid-state capture.
  *
- * Every Sha256 compression runs sha256CompressNative, the
- * conventional shift/rotate implementation a CUDA kernel would compile
- * from plain C. sha256CompressPtx is the byte-permute (prmt) +
- * multiply-add (mad) formulation of HERO-Sign's hand-written PTX
- * branch (paper §III-C, Fig. 5): it computes identical states with a
- * different instruction mix, which the GPU cost model prices
- * differently (the PTX/native label in core/config.hh). It sits on no
- * signing path; the unit tests pin it against the native compression.
+ * Every compression is sha256CompressNative, the conventional
+ * shift/rotate implementation a CUDA kernel would compile from plain
+ * C. The paper's hand-written PTX branch (§III-C, Fig. 5) computes the
+ * same states with a different instruction mix; that choice exists
+ * here only as the GPU cost model's PTX/native label
+ * (core::Sha256Variant in core/config.hh), never as a CPU code path.
  *
  * Mid-state capture (state after compressing whole blocks) enables the
  * SPHINCS+ optimization of precomputing the state of the 64-byte
@@ -94,13 +92,11 @@ class Sha256
 };
 
 /**
- * Compression-function entry points. Normal users go through Sha256;
- * sha256CompressPtx is exposed for its unit test and micro bench.
+ * The scalar compression function every portable path runs. Normal
+ * users go through Sha256.
  */
 void sha256CompressNative(std::array<uint32_t, 8> &state,
                           const uint8_t *block);
-void sha256CompressPtx(std::array<uint32_t, 8> &state,
-                       const uint8_t *block);
 
 } // namespace herosign
 

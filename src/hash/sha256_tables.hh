@@ -1,9 +1,9 @@
 /**
  * @file
  * FIPS 180-4 SHA-256 constant tables, shared by every backend
- * (scalar native, PTX-flavoured, portable lanes, AVX2 and AVX-512
- * lanes) so the cryptographic constants exist exactly once. Internal
- * header — not part of the public hash API.
+ * (scalar native, portable lanes, AVX2 and AVX-512 lanes) so the
+ * cryptographic constants exist exactly once. Internal header — not
+ * part of the public hash API.
  */
 
 #ifndef HEROSIGN_HASH_SHA256_TABLES_HH

@@ -16,60 +16,43 @@ namespace
 
 using sha256tables::initState;
 
-std::atomic<bool> force_scalar{false};
-std::atomic<bool> disable_avx512{false};
-
-// Verify-after-sign quarantine state: sticky per-tier kill switches
-// plus a monotonic count, all process-wide (a faulty vector unit is
-// not a per-thread condition).
-std::atomic<bool> quarantine_avx2{false};
-std::atomic<bool> quarantine_avx512{false};
+// The two mid-process ceilings, process-wide: the one benches and
+// tests set, and the verify-after-sign quarantine (a faulty vector
+// unit is not a per-thread condition) with its monotonic count.
+std::atomic<LaneBackend> set_ceiling{LaneBackend::Avx512};
+std::atomic<LaneBackend> quarantine_ceiling{LaneBackend::Avx512};
 std::atomic<uint64_t> quarantine_count{0};
 
 // The forced-scalar re-sign scope is per thread: one worker redoing
 // a suspect signature must not demote its siblings' dispatch.
 thread_local bool tl_force_scalar = false;
 
-bool
-cpuHasAvx2()
+/** The widest tier both compiled in and reported by cpuid. */
+LaneBackend
+hardwareCeiling()
 {
+    LaneBackend hw = LaneBackend::Scalar;
 #if defined(HEROSIGN_HAVE_AVX2) && (defined(__GNUC__) || defined(__clang__))
-    return __builtin_cpu_supports("avx2") != 0;
-#else
-    return false;
+    if (__builtin_cpu_supports("avx2"))
+        hw = LaneBackend::Avx2;
 #endif
-}
-
-bool
-cpuHasAvx512f()
-{
 #if defined(HEROSIGN_HAVE_AVX512) &&                                    \
     (defined(__GNUC__) || defined(__clang__))
-    return __builtin_cpu_supports("avx512f") != 0;
-#else
-    return false;
+    if (hw == LaneBackend::Avx2 && __builtin_cpu_supports("avx512f"))
+        hw = LaneBackend::Avx512;
 #endif
+    return hw;
 }
 
-/**
- * Startup snapshot of both disable variables, taken together on the
- * first dispatch query so the two ISAs gate off one consistent view
- * of the environment.
- */
-struct EnvSnapshot
+/** The environment ceiling (startup snapshot of the disable knobs). */
+LaneBackend
+envCeiling()
 {
-    bool disableAvx2;
-    bool disableAvx512;
-};
-
-const EnvSnapshot &
-envSnapshot()
-{
-    static const EnvSnapshot snap{
-        laneEnvFlagEnabled("HEROSIGN_DISABLE_AVX2"),
-        laneEnvFlagEnabled("HEROSIGN_DISABLE_AVX512"),
-    };
-    return snap;
+    if (laneEnvFlagEnabled("HEROSIGN_DISABLE_AVX2"))
+        return LaneBackend::Scalar;
+    if (laneEnvFlagEnabled("HEROSIGN_DISABLE_AVX512"))
+        return LaneBackend::Avx2;
+    return LaneBackend::Avx512;
 }
 
 } // namespace
@@ -82,111 +65,41 @@ laneEnvFlagEnabled(const char *var)
            !(v[0] == '0' && v[1] == '\0');
 }
 
-bool
-sha256LanesAvx2Compiled()
-{
-#ifdef HEROSIGN_HAVE_AVX2
-    return true;
-#else
-    return false;
-#endif
-}
-
-bool
-sha256LanesAvx2Supported()
-{
-    static const bool supported = cpuHasAvx2();
-    return sha256LanesAvx2Compiled() && supported;
-}
-
-bool
-sha256LanesAvx512Compiled()
-{
-#ifdef HEROSIGN_HAVE_AVX512
-    return true;
-#else
-    return false;
-#endif
-}
-
-bool
-sha256LanesAvx512Supported()
-{
-    static const bool supported = cpuHasAvx512f();
-    return sha256LanesAvx512Compiled() && supported;
-}
-
 LaneDispatch
 laneDispatch()
 {
-    const EnvSnapshot &env = envSnapshot();
-    const bool forced = force_scalar.load(std::memory_order_relaxed) ||
-                        tl_force_scalar;
-
-    LaneDispatch d;
-    d.avx2 = sha256LanesAvx2Supported() && !env.disableAvx2 &&
-             !forced &&
-             !quarantine_avx2.load(std::memory_order_relaxed);
-    // Disabling the narrower ISA implies the wider one is off too
-    // (AVX-512F hardware always has AVX2), so HEROSIGN_DISABLE_AVX2=1
-    // keeps its historical meaning: fully portable lanes. This
-    // mirrors ci.sh's build-gate cascade (AVX2=OFF forces AVX512=OFF).
-    d.avx512 = sha256LanesAvx512Supported() && !env.disableAvx512 &&
-               !env.disableAvx2 && !forced &&
-               !disable_avx512.load(std::memory_order_relaxed) &&
-               !quarantine_avx512.load(std::memory_order_relaxed) &&
-               // An AVX2 quarantine demotes to portable outright: the
-               // shared vector register file is suspect, so the wider
-               // tier of the same unit is no safer.
-               !quarantine_avx2.load(std::memory_order_relaxed);
-    d.backend = d.avx512   ? LaneBackend::Avx512
-                : d.avx2   ? LaneBackend::Avx2
-                           : LaneBackend::Scalar;
-    // The portable path batches 8 wide so scalar-mode hash shapes (and
-    // the compression-count trace) match the historical 8-lane engine.
-    d.width = d.avx512 ? 16u : 8u;
-    return d;
-}
-
-bool
-sha256LanesAvx2Active()
-{
-    return laneDispatch().avx2;
-}
-
-bool
-sha256LanesAvx512Active()
-{
-    return laneDispatch().avx512;
+    static const LaneBackend startup =
+        std::min(hardwareCeiling(), envCeiling());
+    const LaneBackend b =
+        tl_force_scalar
+            ? LaneBackend::Scalar
+            : std::min({startup,
+                        set_ceiling.load(std::memory_order_relaxed),
+                        quarantine_ceiling.load(
+                            std::memory_order_relaxed)});
+    return {b, b == LaneBackend::Avx512 ? 16u : 8u};
 }
 
 void
-sha256LanesForceScalar(bool force)
+sha256LanesSetCeiling(LaneBackend ceiling)
 {
-    force_scalar.store(force, std::memory_order_relaxed);
-}
-
-void
-sha256LanesDisableAvx512(bool disable)
-{
-    disable_avx512.store(disable, std::memory_order_relaxed);
+    set_ceiling.store(ceiling, std::memory_order_relaxed);
 }
 
 void
 sha256LanesQuarantine(LaneBackend tier)
 {
-    switch (tier) {
-    case LaneBackend::Avx512:
-        if (!quarantine_avx512.exchange(true,
-                                        std::memory_order_relaxed))
+    if (tier == LaneBackend::Scalar)
+        return; // nothing below the portable tier to demote to
+    const auto below =
+        static_cast<LaneBackend>(static_cast<int>(tier) - 1);
+    LaneBackend cur = quarantine_ceiling.load(std::memory_order_relaxed);
+    while (below < cur) {
+        if (quarantine_ceiling.compare_exchange_weak(
+                cur, below, std::memory_order_relaxed)) {
             quarantine_count.fetch_add(1, std::memory_order_relaxed);
-        break;
-    case LaneBackend::Avx2:
-        if (!quarantine_avx2.exchange(true, std::memory_order_relaxed))
-            quarantine_count.fetch_add(1, std::memory_order_relaxed);
-        break;
-    case LaneBackend::Scalar:
-        break; // nothing below the portable tier to demote to
+            return;
+        }
     }
 }
 
@@ -207,8 +120,8 @@ sha256LanesQuarantineCount()
 void
 sha256LanesClearQuarantines()
 {
-    quarantine_avx2.store(false, std::memory_order_relaxed);
-    quarantine_avx512.store(false, std::memory_order_relaxed);
+    quarantine_ceiling.store(LaneBackend::Avx512,
+                             std::memory_order_relaxed);
 }
 
 ScopedScalarLanes::ScopedScalarLanes() : prev_(tl_force_scalar)
@@ -228,28 +141,24 @@ ScopedScalarLanes::activeOnThisThread()
 }
 
 Sha256Lanes::Sha256Lanes(unsigned width)
-    : bufLen_(0), total_(0), width_(width)
+    : bufLen_(0), total_(0), width_(width),
+      tier_(laneDispatch().backend)
 {
     if (width_ == 0 || width_ > maxLanes)
         throw std::invalid_argument("Sha256Lanes: width must be 1..16");
-    const LaneDispatch d = laneDispatch();
-    avx2_ = d.avx2;
-    avx512_ = d.avx512;
     // Spare states past width_ are ghost-lane scratch for padded calls.
     for (auto &h : h_)
         h = initState;
 }
 
 Sha256Lanes::Sha256Lanes(unsigned width, const Sha256State &state)
-    : bufLen_(0), total_(state.bytesCompressed), width_(width)
+    : bufLen_(0), total_(state.bytesCompressed), width_(width),
+      tier_(laneDispatch().backend)
 {
     if (width_ == 0 || width_ > maxLanes)
         throw std::invalid_argument("Sha256Lanes: width must be 1..16");
     if (state.bytesCompressed % blockSize != 0)
         throw std::logic_error("Sha256Lanes: mid-state not block aligned");
-    const LaneDispatch d = laneDispatch();
-    avx2_ = d.avx2;
-    avx512_ = d.avx512;
     for (auto &h : h_)
         h = state.h;
 }
@@ -266,7 +175,7 @@ Sha256Lanes::compressAll(const uint8_t *const blocks[])
     for (unsigned l = 0; l < maxLanes; ++l)
         padded[l] = l < width_ ? blocks[l] : blocks[0];
     unsigned l = 0;
-    while (const unsigned w = laneCallWidth(avx2_, avx512_, width_ - l)) {
+    while (const unsigned w = laneCallWidth(tier_, width_ - l)) {
         if (w == 16)
             sha256Compress16Avx512(h_ + l, padded + l);
         else

@@ -23,23 +23,26 @@
  * only its register traits (arithmetic, rotates, Ch/Maj, loads and
  * stores, lane masks) and the entry points declared below.
  *
- * All gating lives in ONE place, laneDispatch(): the CMake gates
- * HEROSIGN_ENABLE_AVX512 / HEROSIGN_ENABLE_AVX2 decide whether a
- * backend is compiled at all; at runtime cpuid must report the ISA;
- * the HEROSIGN_DISABLE_AVX512 environment variable (any non-empty
- * value but "0") pins dispatch to the 8-lane path, and
- * HEROSIGN_DISABLE_AVX2 keeps its historical meaning of forcing the
- * fully portable path (it disables AVX-512 too — disabling the
- * narrower ISA implies the wider one); and the
- * programmatic hooks sha256LanesForceScalar() (everything off) and
- * sha256LanesDisableAvx512() (pin to width 8) override cpuid. Both
- * environment variables are snapshotted together on the first
- * dispatch query and the snapshot is used for the rest of the
- * process — set them before startup (as the CI lane-matrix jobs do);
- * to switch backends mid-process use the programmatic hooks.
+ * All gating lives in ONE place, laneDispatch(), and every input to
+ * it is a ceiling on one ordered ladder of tiers, Scalar < Avx2 <
+ * Avx512: a tier's kernels need every tier below it (an x16 batch
+ * ends in x8 tails), so each override only ever caps the ladder and
+ * dispatch runs the lowest of five ceilings:
  *
- * Dispatch order: AVX-512 (16 lanes) → AVX2 (8 lanes) → portable
- * (8 lanes, so batch shapes match the historical scalar path).
+ *  * the hardware — the CMake gates HEROSIGN_ENABLE_AVX2 /
+ *    HEROSIGN_ENABLE_AVX512 (AVX-512 is built only over AVX2) and
+ *    cpuid, read once;
+ *  * the environment, snapshotted on the first dispatch query:
+ *    HEROSIGN_DISABLE_AVX2 (any non-empty value but "0") caps at
+ *    Scalar, HEROSIGN_DISABLE_AVX512 at Avx2 — set them before
+ *    startup, as the CI lane-matrix jobs do;
+ *  * sha256LanesSetCeiling(), the process-wide switch benches and
+ *    tests use to pin a tier mid-process;
+ *  * the verify-after-sign guard's quarantine ceiling;
+ *  * ScopedScalarLanes, which pins the current thread to Scalar.
+ *
+ * The portable tier batches 8 wide so scalar-mode hash shapes match
+ * the 8-lane engine.
  *
  * Beside the generic engine, each SIMD backend carries two fused
  * SPHINCS+ kernels: the seeded single-block kernel (one F/PRF call
@@ -74,82 +77,52 @@ namespace herosign
 /** Hard upper bound on SIMD lane width (the AVX-512 backend). */
 constexpr size_t maxSha256Lanes = 16;
 
-/** Which lane backend the dispatcher selected. */
+/**
+ * The lane tiers in ladder order: each tier's kernels need every tier
+ * below it, so dispatch is the lowest of its ceilings.
+ */
 enum class LaneBackend { Scalar, Avx2, Avx512 };
 
-/**
- * Snapshot of the lane dispatch decision: which SIMD kernels are
- * usable right now and the widest batch width callers should target.
- */
+/** Snapshot of the lane dispatch decision. */
 struct LaneDispatch
 {
-    bool avx2;           ///< 8-wide AVX2 kernels usable
-    bool avx512;         ///< 16-wide AVX-512 kernels usable
-    LaneBackend backend; ///< widest active backend
-    unsigned width;      ///< lane width of @c backend (8 or 16)
+    LaneBackend backend; ///< the tier the next call may run
+    unsigned width;      ///< batch width to target: 16 on Avx512, else 8
 };
 
 /**
- * The single source of truth for backend selection. Combines, for
- * both ISAs at once: compile gate, cpuid, the environment snapshot
- * (HEROSIGN_DISABLE_AVX512 / HEROSIGN_DISABLE_AVX2, read once on the
- * first call), and the programmatic overrides. The two backends can
- * never disagree about gating because neither reads any of those
- * inputs anywhere else.
+ * The single source of truth for backend selection: the lowest of the
+ * hardware, environment, set, quarantine and thread-scope ceilings
+ * (see the file comment).
  */
 LaneDispatch laneDispatch();
 
-/** True if the AVX2 backend was compiled in (HEROSIGN_ENABLE_AVX2). */
-bool sha256LanesAvx2Compiled();
-
-/** True if the AVX2 backend is compiled in AND cpuid reports AVX2. */
-bool sha256LanesAvx2Supported();
-
-/** True if the next dispatch may run the AVX2 kernels. */
-bool sha256LanesAvx2Active();
-
-/** True if the AVX-512 backend was compiled in (HEROSIGN_ENABLE_AVX512). */
-bool sha256LanesAvx512Compiled();
-
-/** True if the backend is compiled in AND cpuid reports AVX512F. */
-bool sha256LanesAvx512Supported();
-
-/** True if the next dispatch may run the 16-lane AVX-512 kernels. */
-bool sha256LanesAvx512Active();
-
 /**
- * Force the portable backend on (true) or return to automatic
- * dispatch (false). Process-wide; used by benches and the
- * forced-fallback tests. The environment snapshot still wins when a
- * disable variable was set at startup.
+ * Cap dispatch at @p ceiling process-wide; LaneBackend::Avx512 lifts
+ * the cap. Benches and tests pin a tier with it. The hardware and the
+ * startup environment still win when they are lower.
  */
-void sha256LanesForceScalar(bool force);
-
-/**
- * Disable only the AVX-512 backend (true) so dispatch falls back to
- * AVX2/portable at width 8, or return to automatic dispatch (false).
- * Lets benches and tests compare width 16 against the width-8 path on
- * the same host. sha256LanesForceScalar() still wins when set.
- */
-void sha256LanesDisableAvx512(bool disable);
+void sha256LanesSetCeiling(LaneBackend ceiling);
 
 /**
  * True when environment variable @p var is set to a truthy value
  * (non-empty and not exactly "0") — the parse the disable knobs use.
  * Reads the CURRENT environment, not the startup snapshot; exposed so
- * the override-precedence tests can pin the parse semantics.
+ * the tests can pin the parse semantics.
  */
 bool laneEnvFlagEnabled(const char *var);
 
 /**
- * Quarantine one SIMD tier process-wide: laneDispatch() stops
- * selecting it for every subsequent call, on every thread. This is
- * the verify-after-sign guard's response to a signature that failed
- * verification — a faulty vector unit (or a fault-injection run)
- * must not keep producing corrupt hashes. Quarantining Avx512
- * demotes dispatch to the 8-lane path; quarantining Avx2 demotes to
- * fully portable lanes. Quarantining Scalar is a no-op (there is
- * nothing below it). Sticky until sha256LanesClearQuarantines().
+ * Quarantine one SIMD tier process-wide: the quarantine ceiling drops
+ * to the tier below @p tier, so laneDispatch() stops selecting it (and
+ * every tier above it) for every subsequent call, on every thread.
+ * This is the verify-after-sign guard's response to a signature that
+ * failed verification — a faulty vector unit (or a fault-injection
+ * run) must not keep producing corrupt hashes. Quarantining Avx2
+ * demotes to fully portable lanes, AVX-512 included: the shared
+ * vector register file is suspect. Quarantining Scalar is a no-op. The
+ * quarantine count rises only when the ceiling drops. Sticky until
+ * sha256LanesClearQuarantines().
  */
 void sha256LanesQuarantine(LaneBackend tier);
 
@@ -160,10 +133,10 @@ void sha256LanesQuarantine(LaneBackend tier);
  */
 LaneBackend sha256LanesQuarantineActiveTier();
 
-/** Tiers quarantined so far (process-wide, monotonic). */
+/** Times the quarantine ceiling dropped (process-wide, monotonic). */
 uint64_t sha256LanesQuarantineCount();
 
-/** Lift all quarantines (tests and operator intervention only). */
+/** Lift the quarantine ceiling (tests and operator intervention only). */
 void sha256LanesClearQuarantines();
 
 /**
@@ -189,24 +162,20 @@ class ScopedScalarLanes
 
 /**
  * Width of the next SIMD call over @p remaining real lanes of one
- * batch: 16 or 8, or 0 when the lanes run scalar (fewer than two
- * left, or no SIMD tier active). A ragged tail of two or more lanes
- * runs as one padded call on the narrowest active tier that covers
- * it: its ghost lanes hash a copy of a real lane's block and their
- * output is discarded. One x8 or x16 call costs about as much as two
- * scalar compressions (bench/micro_hash, BM_ThashXOneBlock* rows),
- * hence the two-lane threshold.
- * @param avx2 8-wide kernels usable
- * @param avx512 16-wide kernels usable
+ * batch on tier @p backend: 16 or 8, or 0 when the lanes run scalar
+ * (fewer than two left, or the portable tier). A ragged tail of two or
+ * more lanes runs as one padded call on the narrowest tier that
+ * covers it: its ghost lanes hash a copy of a real lane's block and
+ * their output is discarded. One x8 or x16 call costs about as much
+ * as two scalar compressions (bench/micro_hash, BM_ThashXOneBlock*
+ * rows), hence the two-lane threshold.
  */
 inline unsigned
-laneCallWidth(bool avx2, bool avx512, unsigned remaining)
+laneCallWidth(LaneBackend backend, unsigned remaining)
 {
-    if (remaining < 2)
+    if (remaining < 2 || backend == LaneBackend::Scalar)
         return 0;
-    if (avx512 && (remaining > 8 || !avx2))
-        return 16;
-    return avx2 ? 8 : 0;
+    return backend == LaneBackend::Avx512 && remaining > 8 ? 16 : 8;
 }
 
 /**
@@ -255,16 +224,15 @@ class Sha256Lanes
     size_t bufLen_;
     uint64_t total_;
     unsigned width_;
-    bool avx2_;
-    bool avx512_;
+    LaneBackend tier_;
 };
 
 /**
  * AVX2 backend entry points (defined in sha256x8_avx2.cc when
  * HEROSIGN_ENABLE_AVX2 is on; exposed for the unit tests and the
  * batched tweakable-hash layer — normal users go through
- * Sha256Lanes). Callers must check laneDispatch().avx2 (or at least
- * sha256LanesAvx2Supported()) first; the stubs throw otherwise.
+ * Sha256Lanes). Callers must check that laneDispatch().backend is
+ * at least Avx2 first; the stubs throw otherwise.
  * Neither entry point touches Sha256::compressionCount() — callers
  * account.
  */
@@ -284,8 +252,9 @@ void sha256Final8SeededAvx2(const std::array<uint32_t, 8> &mid,
 /**
  * AVX-512 backend entry points (defined in sha256x16_avx512.cc when
  * HEROSIGN_ENABLE_AVX512 is on): the 16-lane analogues of the AVX2
- * pair above, with the same contracts — check laneDispatch().avx512
- * first, callers account for compressions.
+ * pair above, with the same contracts — check that
+ * laneDispatch().backend is Avx512 first, callers account for
+ * compressions.
  */
 void sha256Compress16Avx512(std::array<uint32_t, 8> state[16],
                             const uint8_t *const blocks[16]);
@@ -356,8 +325,8 @@ chainKernelCovers(unsigned n)
  * registers — no block repacking, no transposes, no digest copies
  * between steps. Lanes outside their [start, end) hold their value by
  * mask; capture positions copy out by mask. @p NW is n / 4 (4, 6 or
- * 8). Same contract as the one-block kernels: check
- * laneDispatch().avx512 first; the caller charges compressions.
+ * 8). Same contract as the one-block kernels: check for the
+ * Avx512 tier first; the caller charges compressions.
  */
 template <unsigned NW>
 void sha256ChainF16SeededAvx512(const Sha256State &mid,

@@ -55,7 +55,7 @@ thashXOneBlock(uint8_t *const out[], const Context &ctx,
         bptrs[l] = blocks[l];
     }
 
-    const LaneDispatch d = laneDispatch();
+    const LaneBackend tier = laneDispatch().backend;
     // Ghost lanes of a padded call hash lane 0's block into the
     // digest rows past count, which nothing reads back.
     for (unsigned l = count; l < maxHashLanes; ++l)
@@ -66,7 +66,7 @@ thashXOneBlock(uint8_t *const out[], const Context &ctx,
         dptrs[l] = digests[l];
 
     unsigned l = 0;
-    while (const unsigned w = laneCallWidth(d.avx2, d.avx512, count - l)) {
+    while (const unsigned w = laneCallWidth(tier, count - l)) {
         if (w == 16)
             sha256Final16SeededAvx512(mid.h, bptrs + l, dptrs + l);
         else

@@ -174,7 +174,7 @@ advanceChains(const WotsChainSet sets[], unsigned count,
         // Full calls of the dispatched width, a padded call for a
         // ragged tail of two or more chains, a lone chain scalar.
         const unsigned call =
-            simd ? laneCallWidth(d.avx2, d.avx512, live - g) : 0;
+            simd ? laneCallWidth(d.backend, live - g) : 0;
         const unsigned m = std::min(live - g, call ? call : d.width);
         uint64_t steps = 0;
         for (unsigned l = 0; l < std::max(call, m); ++l) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../sphincs/lane_tiers.hh"
 #include "batch/lane_scheduler.hh"
 #include "batch_test_util.hh"
 #include "hash/sha256.hh"
@@ -22,25 +23,11 @@ using batch::LaneScheduler;
 using sphincs::Context;
 using sphincs::Params;
 using sphincs::SphincsPlus;
+using sphincs::test::laneTiers;
+using sphincs::test::ScopedTier;
 
 namespace
 {
-
-/** Pin the lane engine to one width for a scope. */
-class ScopedWidth
-{
-  public:
-    explicit ScopedWidth(unsigned width)
-    {
-        sha256LanesForceScalar(width == 1);
-        sha256LanesDisableAvx512(width == 8);
-    }
-    ~ScopedWidth()
-    {
-        sha256LanesForceScalar(false);
-        sha256LanesDisableAvx512(false);
-    }
-};
 
 /** opt_rand for message i: empty (deterministic) for even i. */
 ByteVec
@@ -72,7 +59,7 @@ TEST(LaneSchedulerTest, GroupsMatchScalarOnAllSetsWidthsAndSizes)
         std::vector<ByteVec> want;
         std::vector<uint64_t> comps;
         {
-            ScopedWidth w(1);
+            ScopedTier pin(laneTiers[0]);
             for (unsigned i = 0; i < maxMsgs; ++i) {
                 msgs.push_back(patternMsg(48, static_cast<uint8_t>(i)));
                 rands.push_back(optRandFor(p, i));
@@ -83,8 +70,8 @@ TEST(LaneSchedulerTest, GroupsMatchScalarOnAllSetsWidthsAndSizes)
             }
         }
 
-        for (unsigned width : {1u, 8u, 16u}) {
-            ScopedWidth w(width);
+        for (const auto &tier : laneTiers) {
+            ScopedTier pin(tier);
             // Ragged sizes on purpose: 3 and 5 divide neither 8 nor
             // 16, so partial lane groups and tail chains exercise
             // the padded kernels; 16 is a full group.
@@ -102,11 +89,11 @@ TEST(LaneSchedulerTest, GroupsMatchScalarOnAllSetsWidthsAndSizes)
                                          rand_spans.data(), got.data(),
                                          group);
                 EXPECT_EQ(Sha256::compressionCount() - c0, want_comps)
-                    << p.name << " width=" << width
+                    << p.name << " tier=" << tier.name
                     << " group=" << group;
                 for (unsigned i = 0; i < group; ++i)
                     EXPECT_EQ(got[i], want[i])
-                        << p.name << " width=" << width
+                        << p.name << " tier=" << tier.name
                         << " group=" << group << " msg=" << i;
             }
         }

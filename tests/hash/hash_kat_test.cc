@@ -1,7 +1,7 @@
 /**
  * @file
  * Published known-answer tests for the whole hash substrate: FIPS
- * 180-4 / NIST CAVP vectors for SHA-256 and SHA-512, RFC 4231 vectors
+ * 180-4 / NIST CAVP vectors for SHA-256, RFC 4231 vectors
  * for HMAC-SHA-256, and RFC 8017 MGF1-SHA-256 vectors.
  */
 
@@ -13,7 +13,6 @@
 #include "hash/hmac.hh"
 #include "hash/mgf1.hh"
 #include "hash/sha256.hh"
-#include "hash/sha512.hh"
 
 using namespace herosign;
 
@@ -30,13 +29,6 @@ std::string
 sha256Hex(ByteSpan data)
 {
     auto d = Sha256::digest(data);
-    return hexEncode(ByteSpan(d.data(), d.size()));
-}
-
-std::string
-sha512Hex(ByteSpan data)
-{
-    auto d = Sha512::digest(data);
     return hexEncode(ByteSpan(d.data(), d.size()));
 }
 
@@ -69,23 +61,6 @@ const HashVector sha256Vectors[] = {
      "7abc22c0ae5af26ce93dbb94433a0e0b2e119d014f8e7f65bd56c61ccccd9504"},
 };
 
-// FIPS 180-4 SHA-512 examples.
-const HashVector sha512Vectors[] = {
-    {"",
-     "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
-     "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"},
-    {"616263", // "abc"
-     "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
-     "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"},
-    // "abcdefghbcdefghi...nopqrstu" (the 896-bit example)
-    {"61626364656667686263646566676869636465666768696a6465666768696a6b"
-     "65666768696a6b6c666768696a6b6c6d6768696a6b6c6d6e68696a6b6c6d6e6f"
-     "696a6b6c6d6e6f706a6b6c6d6e6f70716b6c6d6e6f7071726c6d6e6f70717273"
-     "6d6e6f70717273746e6f707172737475",
-     "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018"
-     "501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909"},
-};
-
 } // namespace
 
 TEST(Sha256Kat, PublishedVectors)
@@ -114,14 +89,6 @@ TEST(Sha256Kat, MillionA)
     EXPECT_EQ(
         hexEncode(ByteSpan(out, sizeof(out))),
         "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
-}
-
-TEST(Sha512Kat, PublishedVectors)
-{
-    for (const auto &v : sha512Vectors) {
-        ByteVec msg = hexDecode(v.msgHex);
-        EXPECT_EQ(sha512Hex(msg), v.digestHex) << "msg=" << v.msgHex;
-    }
 }
 
 TEST(HmacKat, Rfc4231)

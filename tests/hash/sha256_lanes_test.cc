@@ -5,30 +5,28 @@
  * ragged final-block lengths), padded ragged tails at every width and
  * tier, forced-fallback behaviour, compression accounting, direct
  * scalar parity of the generic compression and the fused seeded
- * single-block kernel of both SIMD backends, and the unified
- * laneDispatch() override precedence.
+ * single-block kernel of both SIMD backends, and the laneDispatch()
+ * tier ladder: dispatch is the lowest of its ceilings.
  */
 
+#include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../sphincs/lane_tiers.hh"
 #include "common/hex.hh"
 #include "common/random.hh"
 #include "hash/sha256xN.hh"
 
 using namespace herosign;
+using herosign::sphincs::test::laneTiers;
+using herosign::sphincs::test::ScopedTier;
 
 namespace
 {
-
-/** Force the portable backend for one scope, restoring on exit. */
-struct ScopedScalarLanes
-{
-    ScopedScalarLanes() { sha256LanesForceScalar(true); }
-    ~ScopedScalarLanes() { sha256LanesForceScalar(false); }
-};
 
 /** Hash @p width lanes one-shot through Sha256Lanes. */
 void
@@ -81,9 +79,8 @@ TEST(Sha256Lanes, MatchesScalarAcrossLengthsAndWidths)
 
 TEST(Sha256Lanes, MatchesScalarOnPortableBackend)
 {
-    ScopedScalarLanes scoped;
-    EXPECT_FALSE(sha256LanesAvx2Active());
-    EXPECT_FALSE(sha256LanesAvx512Active());
+    ScopedTier pin(laneTiers[0]);
+    EXPECT_EQ(laneDispatch().backend, LaneBackend::Scalar);
     const size_t lengths[] = {0, 1, 55, 56, 64, 65, 200};
     uint64_t seed = 100;
     for (unsigned width : {8u, 16u})
@@ -146,19 +143,9 @@ TEST(Sha256Lanes, CompressionCountMatchesScalarCallsAtEveryWidth)
     // block, two-block, four-block and long (T_len-sized) messages.
     // Digests match the scalar hasher and only real lanes are
     // charged.
-    struct Tier
-    {
-        const char *name;
-        bool scalar;
-        bool noAvx512;
-    };
-    const Tier tiers[] = {{"forced-scalar", true, false},
-                          {"width-8", false, true},
-                          {"widest", false, false}};
     Rng rng(23);
-    for (const Tier &tier : tiers) {
-        sha256LanesForceScalar(tier.scalar);
-        sha256LanesDisableAvx512(tier.noAvx512);
+    for (const auto &tier : laneTiers) {
+        ScopedTier pin(tier);
         for (size_t len : {16u, 64u, 200u, 2166u}) {
             Sha256::resetCompressionCount();
             (void)Sha256::digest(rng.bytes(len));
@@ -181,8 +168,6 @@ TEST(Sha256Lanes, CompressionCountMatchesScalarCallsAtEveryWidth)
             }
         }
     }
-    sha256LanesForceScalar(false);
-    sha256LanesDisableAvx512(false);
 }
 
 /** Pre-padded single-block lanes for the fused seeded kernels. */
@@ -225,7 +210,7 @@ fusedKernelCase(const Sha256State &mid,
 
 TEST(Sha256Lanes, FusedSeededAvx2KernelMatchesIncremental)
 {
-    if (!sha256LanesAvx2Active())
+    if (laneDispatch().backend < LaneBackend::Avx2)
         GTEST_SKIP() << "AVX2 backend unavailable";
 
     Rng rng(31);
@@ -237,7 +222,7 @@ TEST(Sha256Lanes, FusedSeededAvx2KernelMatchesIncremental)
 
 TEST(Sha256Lanes, FusedSeededAvx512KernelMatchesIncremental)
 {
-    if (!sha256LanesAvx512Active())
+    if (laneDispatch().backend != LaneBackend::Avx512)
         GTEST_SKIP() << "AVX-512 backend unavailable";
 
     Rng rng(37);
@@ -278,74 +263,78 @@ genericCompressionCase(uint64_t seed,
 
 TEST(Sha256Lanes, GenericAvx2CompressionMatchesScalar)
 {
-    if (!sha256LanesAvx2Active())
+    if (laneDispatch().backend < LaneBackend::Avx2)
         GTEST_SKIP() << "AVX2 backend unavailable";
     genericCompressionCase<8>(43, sha256Compress8Avx2);
 }
 
 TEST(Sha256Lanes, GenericAvx512CompressionMatchesScalar)
 {
-    if (!sha256LanesAvx512Active())
+    if (laneDispatch().backend != LaneBackend::Avx512)
         GTEST_SKIP() << "AVX-512 backend unavailable";
     genericCompressionCase<16>(41, sha256Compress16Avx512);
 }
 
-TEST(LaneDispatch, QueriesAreConsistent)
+/** The environment ceiling the disable knobs describe. */
+LaneBackend
+envCeiling()
 {
-    // Active implies supported implies compiled, per ISA.
-    if (sha256LanesAvx2Active()) {
-        EXPECT_TRUE(sha256LanesAvx2Supported());
-    }
-    if (sha256LanesAvx2Supported()) {
-        EXPECT_TRUE(sha256LanesAvx2Compiled());
-    }
-    if (sha256LanesAvx512Active()) {
-        EXPECT_TRUE(sha256LanesAvx512Supported());
-    }
-    if (sha256LanesAvx512Supported()) {
-        EXPECT_TRUE(sha256LanesAvx512Compiled());
-    }
-
-    // The struct and the per-ISA queries are one decision.
-    const LaneDispatch d = laneDispatch();
-    EXPECT_EQ(d.avx2, sha256LanesAvx2Active());
-    EXPECT_EQ(d.avx512, sha256LanesAvx512Active());
-    EXPECT_EQ(d.width, d.avx512 ? 16u : 8u);
-    switch (d.backend) {
-    case LaneBackend::Avx512: EXPECT_TRUE(d.avx512); break;
-    case LaneBackend::Avx2:
-        EXPECT_TRUE(d.avx2);
-        EXPECT_FALSE(d.avx512);
-        break;
-    case LaneBackend::Scalar:
-        EXPECT_FALSE(d.avx2);
-        EXPECT_FALSE(d.avx512);
-        break;
-    }
+    if (laneEnvFlagEnabled("HEROSIGN_DISABLE_AVX2"))
+        return LaneBackend::Scalar;
+    if (laneEnvFlagEnabled("HEROSIGN_DISABLE_AVX512"))
+        return LaneBackend::Avx2;
+    return LaneBackend::Avx512;
 }
 
-TEST(LaneDispatch, OverridePrecedence)
+TEST(LaneDispatch, LowestCeilingWins)
 {
-    // Force-scalar beats cpuid for BOTH ISAs at once.
-    sha256LanesForceScalar(true);
-    EXPECT_FALSE(sha256LanesAvx2Active());
-    EXPECT_FALSE(sha256LanesAvx512Active());
-    EXPECT_EQ(laneDispatch().backend, LaneBackend::Scalar);
-    EXPECT_EQ(laneDispatch().width, 8u);
+    // With no mid-process ceiling, dispatch is the startup ceiling:
+    // the hardware (compile gate and cpuid) capped by the environment.
+    sha256LanesSetCeiling(LaneBackend::Avx512);
+    sha256LanesClearQuarantines();
+    const LaneBackend startup = laneDispatch().backend;
+    EXPECT_LE(startup, envCeiling());
+#if defined(__GNUC__) || defined(__clang__)
+    const LaneBackend cpu =
+        !__builtin_cpu_supports("avx2")      ? LaneBackend::Scalar
+        : !__builtin_cpu_supports("avx512f") ? LaneBackend::Avx2
+                                             : LaneBackend::Avx512;
+    EXPECT_LE(startup, cpu);
+#endif
 
-    // The AVX-512 kill switch is subordinate to force-scalar...
-    sha256LanesDisableAvx512(false);
-    EXPECT_FALSE(sha256LanesAvx512Active());
-    sha256LanesForceScalar(false);
-
-    // ...and on its own only pins dispatch to the width-8 path.
-    sha256LanesDisableAvx512(true);
-    EXPECT_FALSE(sha256LanesAvx512Active());
-    EXPECT_EQ(laneDispatch().width, 8u);
-    EXPECT_EQ(sha256LanesAvx2Active(),
-              sha256LanesAvx2Supported() &&
-                  !laneEnvFlagEnabled("HEROSIGN_DISABLE_AVX2"));
-    sha256LanesDisableAvx512(false);
+    // Every combination of the set ceiling, the quarantine ceiling
+    // and the thread scope dispatches the lowest of them all.
+    const LaneBackend tiers[] = {LaneBackend::Scalar, LaneBackend::Avx2,
+                                 LaneBackend::Avx512};
+    for (LaneBackend set : tiers)
+        for (LaneBackend quarantine : tiers)
+            for (bool scoped : {false, true}) {
+                sha256LanesSetCeiling(set);
+                const uint64_t count0 = sha256LanesQuarantineCount();
+                // Quarantining the tier above drops the ceiling to
+                // `quarantine`, and counts once.
+                if (quarantine != LaneBackend::Avx512)
+                    sha256LanesQuarantine(static_cast<LaneBackend>(
+                        static_cast<int>(quarantine) + 1));
+                EXPECT_EQ(sha256LanesQuarantineCount() - count0,
+                          quarantine != LaneBackend::Avx512 ? 1u : 0u);
+                std::optional<ScopedScalarLanes> scope;
+                if (scoped)
+                    scope.emplace();
+                const LaneBackend want =
+                    std::min({startup, set, quarantine,
+                              scoped ? LaneBackend::Scalar
+                                     : LaneBackend::Avx512});
+                const LaneDispatch d = laneDispatch();
+                EXPECT_EQ(d.backend, want)
+                    << "set " << static_cast<int>(set) << " quarantine "
+                    << static_cast<int>(quarantine) << " scoped "
+                    << scoped;
+                EXPECT_EQ(d.width,
+                          d.backend == LaneBackend::Avx512 ? 16u : 8u);
+                sha256LanesClearQuarantines();
+            }
+    sha256LanesSetCeiling(LaneBackend::Avx512);
 }
 
 TEST(LaneDispatch, EnvFlagParseSemantics)

@@ -269,7 +269,7 @@ TEST(ChainKernel, SimdLaneFaultCorruptsExactlyOneRealLane)
 {
     for (const auto &tier : laneTiers) {
         ScopedTier pin(tier);
-        const bool simd = laneDispatch().avx2 || laneDispatch().avx512;
+        const bool simd = laneDispatch().backend != LaneBackend::Scalar;
         SCOPED_TRACE(tier.name);
         const Params &p = Params::sphincs128f();
         Context ctx = makeContext(p, 9);

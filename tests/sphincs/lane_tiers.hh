@@ -16,29 +16,23 @@ namespace herosign::sphincs::test
 struct LaneTier
 {
     const char *name;
-    bool scalar;
-    bool noAvx512;
+    LaneBackend ceiling;
 };
 
 inline constexpr LaneTier laneTiers[] = {
-    {"forced-scalar", true, false},
-    {"width-8", false, true},
-    {"widest", false, false},
+    {"forced-scalar", LaneBackend::Scalar},
+    {"width-8", LaneBackend::Avx2},
+    {"widest", LaneBackend::Avx512},
 };
 
-/** Pin @p tier for a scope and release it on exit. */
+/** Pin @p tier for a scope and lift the ceiling on exit. */
 struct ScopedTier
 {
     explicit ScopedTier(const LaneTier &tier)
     {
-        sha256LanesForceScalar(tier.scalar);
-        sha256LanesDisableAvx512(tier.noAvx512);
+        sha256LanesSetCeiling(tier.ceiling);
     }
-    ~ScopedTier()
-    {
-        sha256LanesForceScalar(false);
-        sha256LanesDisableAvx512(false);
-    }
+    ~ScopedTier() { sha256LanesSetCeiling(LaneBackend::Avx512); }
 };
 
 } // namespace herosign::sphincs::test

@@ -26,6 +26,7 @@
 
 using namespace herosign;
 using namespace herosign::sphincs;
+using herosign::sphincs::test::LaneTier;
 using herosign::sphincs::test::laneTiers;
 using herosign::sphincs::test::ScopedTier;
 
@@ -167,7 +168,7 @@ TEST(ThashX, PartialBatchesMatchScalar)
 
 TEST(ThashX, SimdLaneFaultCorruptsExactlyOneRealLaneOfPaddedTail)
 {
-    if (!laneDispatch().avx2 && !laneDispatch().avx512)
+    if (laneDispatch().backend == LaneBackend::Scalar)
         GTEST_SKIP() << "needs an active SIMD tier (a 3-lane batch "
                         "runs scalar without one)";
     const Params &p = Params::sphincs128f();
@@ -362,11 +363,10 @@ struct ModeResult
 
 ModeResult
 runMode(const Params &p, const ByteVec &seed, const ByteVec &msg,
-        bool scalar, bool no_avx512)
+        const LaneTier &tier)
 {
     SphincsPlus scheme(p);
-    sha256LanesForceScalar(scalar);
-    sha256LanesDisableAvx512(no_avx512);
+    ScopedTier pin(tier);
     auto kp = scheme.keygenFromSeed(seed);
     Sha256::resetCompressionCount();
     ModeResult r;
@@ -374,8 +374,6 @@ runMode(const Params &p, const ByteVec &seed, const ByteVec &msg,
     r.signCompressions = Sha256::compressionCount();
     r.pkRoot = ByteVec(kp.pk.pkRoot.begin(), kp.pk.pkRoot.end());
     r.verified = scheme.verify(msg, r.sig, kp.pk);
-    sha256LanesForceScalar(false);
-    sha256LanesDisableAvx512(false);
     return r;
 }
 
@@ -394,9 +392,9 @@ TEST(BackendEquivalence, SignaturesByteIdenticalAcrossAllWidths)
         ByteVec seed = rng.bytes(3 * p.n);
         ByteVec msg = rng.bytes(57);
 
-        ModeResult scalar = runMode(p, seed, msg, true, false);
-        ModeResult x8 = runMode(p, seed, msg, false, true);
-        ModeResult widest = runMode(p, seed, msg, false, false);
+        ModeResult scalar = runMode(p, seed, msg, laneTiers[0]);
+        ModeResult x8 = runMode(p, seed, msg, laneTiers[1]);
+        ModeResult widest = runMode(p, seed, msg, laneTiers[2]);
 
         EXPECT_EQ(hexEncode(scalar.pkRoot), hexEncode(x8.pkRoot))
             << p.name;
@@ -428,11 +426,11 @@ TEST(BackendEquivalence, CrossBackendVerifyAgrees)
     auto kp = scheme.keygenFromSeed(seed);
     ByteVec sig_auto = scheme.sign(msg, kp.sk);
 
-    sha256LanesForceScalar(true);
+    sha256LanesSetCeiling(LaneBackend::Scalar);
     auto kp_scalar = scheme.keygenFromSeed(seed);
     ByteVec sig_scalar = scheme.sign(msg, kp_scalar.sk);
     const bool verify_scalar = scheme.verify(msg, sig_auto, kp.pk);
-    sha256LanesForceScalar(false);
+    sha256LanesSetCeiling(LaneBackend::Avx512);
 
     EXPECT_EQ(hexEncode(kp.pk.pkRoot), hexEncode(kp_scalar.pk.pkRoot));
     EXPECT_EQ(hexEncode(sig_auto), hexEncode(sig_scalar));

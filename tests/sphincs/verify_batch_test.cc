@@ -41,13 +41,6 @@ using test::ScopedTier;
 namespace
 {
 
-/** Force-scalar guard so a test body runs on the portable lanes. */
-struct ScalarGuard
-{
-    ScalarGuard() { sha256LanesForceScalar(true); }
-    ~ScalarGuard() { sha256LanesForceScalar(false); }
-};
-
 std::vector<bool>
 runVerifyBatch(const SphincsPlus &scheme, const PublicKey &pk,
                const std::vector<ByteVec> &msgs,
@@ -133,7 +126,7 @@ TEST(VerifyBatch, MixedValidInvalidAndMalformedLanes)
                                      false, false, true, false, true}));
 
     // Same verdicts on the portable scalar lanes.
-    ScalarGuard guard;
+    ScopedTier guard(laneTiers[0]);
     expectBatchMatchesScalar(scheme, kp.pk, msgs, sigs);
     EXPECT_EQ(runVerifyBatch(scheme, kp.pk, msgs, sigs), ok);
 }
@@ -329,7 +322,7 @@ TEST_P(VerifyBatchGolden, TableISetsMatchScalarOnBothBackends)
     EXPECT_EQ(avx,
               (std::vector<bool>{true, true, false, true}));
 
-    ScalarGuard guard;
+    ScopedTier guard(laneTiers[0]);
     expectBatchMatchesScalar(scheme, kp.pk, msgs, sigs);
     EXPECT_EQ(runVerifyBatch(scheme, kp.pk, msgs, sigs), avx);
 }
