@@ -63,7 +63,7 @@ makeBatch(Rng &rng, unsigned count)
 
 /**
  * Sequential scalar reference: one thread, no queue, duration-bounded
- * through the shared bench measurement helper (tune::measureFor)
+ * through the shared bench measurement helper (measureFor)
  * but never fewer signatures than the batch the worker rows sign.
  */
 MeasureResult
@@ -96,7 +96,7 @@ main(int argc, char **argv)
     const std::string only_set = opt.text("--set");
 
     TextTable table({"set", "mode", "msgs", "wall ms", "sigs/s",
-                     "vs scalar", "steals"});
+                     "vs scalar"});
 
     bool first_set = true;
     for (const Params &p : Params::all()) {
@@ -124,7 +124,7 @@ main(int argc, char **argv)
         table.addRow({p.name, "scalar lanes (SIMD off)",
                       std::to_string(ref.iters),
                       fmtF(ref.wallUs / 1000.0), fmtF(ref_rate, 1),
-                      fmtX(1.0), "0"});
+                      fmtX(1.0)});
 
         // Honest labeling: without an active SIMD backend this row
         // measures the same portable lanes as the reference.
@@ -137,7 +137,7 @@ main(int argc, char **argv)
                                         : "single thread (no SIMD)";
         table.addRow({p.name, xn_label, std::to_string(xn.iters),
                       fmtF(xn.wallUs / 1000.0), fmtF(xn_rate, 1),
-                      fmtX(xn_rate / ref_rate), "0"});
+                      fmtX(xn_rate / ref_rate)});
 
         for (unsigned workers : {1u, 2u, 4u, 8u}) {
             BatchSignerConfig cfg;
@@ -154,8 +154,7 @@ main(int argc, char **argv)
                      (workers == 1 ? " worker" : " workers"),
                  std::to_string(st.jobs),
                  fmtF(st.wallUs / 1000.0), fmtF(st.sigsPerSec, 1),
-                 fmtX(st.sigsPerSec / ref_rate),
-                 std::to_string(st.crossShardPops)});
+                 fmtX(st.sigsPerSec / ref_rate)});
         }
     }
 
@@ -199,7 +198,6 @@ main(int argc, char **argv)
                 for (bool cross : {false, true}) {
                     BatchSignerConfig cfg;
                     cfg.workers = workers;
-                    cfg.shards = 4;
                     // laneGroup 1 pins groups of one; the cross
                     // rows always offer the full group so
                     // the mode split is identical at every width.

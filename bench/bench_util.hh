@@ -2,15 +2,18 @@
  * @file
  * Shared helpers for the table/figure reproduction binaries: CLI flag
  * handling (--csv and each bench's own flags; anything else prints a
- * usage line and exits 2), headers that identify the experiment, and
- * an engine cache so a bench constructing several configurations does
- * not re-profile needlessly.
+ * usage line and exits 2), the duration-bounded measureFor loop,
+ * headers that identify the experiment, and an engine cache so a
+ * bench constructing several configurations does not re-profile
+ * needlessly.
  */
 
 #ifndef HEROSIGN_BENCHUTIL_HH
 #define HEROSIGN_BENCHUTIL_HH
 
 #include <charconv>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,7 +28,6 @@
 #include "common/table.hh"
 #include "core/engine.hh"
 #include "telemetry/histogram.hh"
-#include "tune/measure.hh"
 
 namespace herosign::bench
 {
@@ -40,12 +42,49 @@ signRequests(const std::vector<ByteVec> &msgs)
     return reqs;
 }
 
+/** Outcome of one measureFor() run. */
+struct MeasureResult
+{
+    uint64_t iters = 0; ///< operations completed inside the window
+    double wallUs = 0;  ///< measured wall clock of those operations
+
+    /** Operations per second (0 when nothing ran). */
+    double
+    opsPerSec() const
+    {
+        return wallUs > 0 ? iters * 1e6 / wallUs : 0.0;
+    }
+};
+
 /**
- * The shared duration-bounded measurement loop: run @p fn repeatedly
- * for ~seconds after a warmup, returning iterations and wall time.
+ * The one duration-bounded measurement loop every bench shares, so
+ * every bench row means the same thing: run @p fn in a closed loop
+ * for (at least) @p seconds of wall clock, after @p warmup_iters
+ * untimed warmup calls. At least one timed iteration always runs, so
+ * rates are never divided by zero and a single slow operation still
+ * yields its true cost.
  */
-using tune::measureFor;
-using tune::MeasureResult;
+template <typename Fn>
+MeasureResult
+measureFor(double seconds, unsigned warmup_iters, Fn &&fn)
+{
+    using clock = std::chrono::steady_clock;
+    for (unsigned i = 0; i < warmup_iters; ++i)
+        fn();
+    MeasureResult r;
+    const auto t0 = clock::now();
+    const auto deadline =
+        t0 + std::chrono::duration_cast<clock::duration>(
+                 std::chrono::duration<double>(seconds));
+    do {
+        fn();
+        ++r.iters;
+    } while (clock::now() < deadline);
+    r.wallUs = std::chrono::duration<double, std::micro>(clock::now() -
+                                                         t0)
+                   .count();
+    return r;
+}
 
 /**
  * q-quantile (0..1) of @p lat_us, in milliseconds — computed through

@@ -75,7 +75,7 @@ makeBatch(Rng &rng, unsigned count)
 
 /**
  * One-at-a-time verification, duration-bounded through the shared
- * bench measurement helper (tune::measureFor). One iteration
+ * bench measurement helper (measureFor). One iteration
  * verifies one signature.
  */
 MeasureResult
@@ -236,7 +236,6 @@ main(int argc, char **argv)
     for (unsigned workers : {1u, 4u}) {
         ServiceConfig cfg;
         cfg.workers = workers;
-        cfg.shards = workers;
         const uint64_t ctx0 = Context::constructionCount();
         SignService svc(store, cfg);
         std::vector<std::future<ByteVec>> futs;
@@ -274,7 +273,6 @@ main(int argc, char **argv)
     for (const bool guard : {false, true}) {
         ServiceConfig cfg;
         cfg.workers = 2;
-        cfg.shards = 2;
         cfg.verifyAfterSign = guard;
         SignService svc(store, cfg);
         std::vector<std::future<ByteVec>> futs;
@@ -323,9 +321,7 @@ main(int argc, char **argv)
 
     ServiceConfig mcfg;
     mcfg.workers = 2;
-    mcfg.shards = 2;
     mcfg.verifyWorkers = 2;
-    mcfg.verifyShards = 2;
     {
         SignService ssvc(store, mcfg);
         VerifyService vsvc(store, mcfg, ssvc.contextCache(),

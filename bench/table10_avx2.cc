@@ -6,8 +6,10 @@
  * portable scalar backend (the pre-batching reference), pinned to the
  * 8-lane AVX2 path (AVX-512 disabled), and on the full dispatch
  * (16-lane AVX-512 where the host supports it) — plus the resulting
- * single-thread speedups. Signatures are byte-identical across all
- * three backends.
+ * single-thread speedups (ratios of the medians). Each single-thread
+ * cell signs one message at a time for at least 0.5 s and at least
+ * --iters signatures and prints the median rate with its quartiles.
+ * Signatures are byte-identical across all three backends.
  *
  * A second table scales worker threads (1/2/4/8/16) at each lane
  * width through the BatchSigner's cross-signature lane scheduler —
@@ -18,8 +20,8 @@
  * so cells are compared against their own spread. On a host with
  * fewer cores the thread rows flatten; the lane-width split remains.
  *
- * Flags: --iters N (signatures per single-thread measurement,
- * default 3), --csv.
+ * Flags: --iters N (minimum signatures per single-thread cell,
+ * default 5), --csv.
  */
 
 #include <algorithm>
@@ -52,14 +54,43 @@ quantile(std::vector<double> v, double q)
     return v[lo] + (pos - lo) * (v[hi] - v[lo]);
 }
 
+/** A measured cell: median KOPS with its quartiles. */
+struct Kops
+{
+    double q1 = 0, median = 0, q3 = 0;
+
+    std::string
+    cell() const
+    {
+        return fmtF(median, 3) + " (" + fmtF(q1, 3) + "-" +
+               fmtF(q3, 3) + ")";
+    }
+};
+
+/**
+ * Call @p sample (which returns one KOPS reading) back to back for at
+ * least 0.5 s and at least @p min_samples times.
+ */
+template <typename Sample>
+Kops
+sampleKops(unsigned min_samples, Sample &&sample)
+{
+    std::vector<double> kops;
+    measureFor(0.5, 0, [&] { kops.push_back(sample()); });
+    while (kops.size() < min_samples)
+        kops.push_back(sample());
+    return {quantile(kops, 0.25), quantile(kops, 0.5),
+            quantile(kops, 0.75)};
+}
+
 /**
  * One thread-scaling cell: KOPS of back-to-back batches of
  * 4 x workers x lane width messages through a cross-signature
- * BatchSigner, pinned to @p ceiling, as "median (q1-q3)" over at
- * least five batches and 0.5 s.
+ * BatchSigner, pinned to @p ceiling, over at least five batches and
+ * 0.5 s.
  */
-std::string
-threadedKopsCell(const Params &p, LaneBackend ceiling, unsigned workers)
+Kops
+threadedKops(const Params &p, LaneBackend ceiling, unsigned workers)
 {
     using batch::BatchSigner;
     using batch::BatchSignerConfig;
@@ -74,28 +105,25 @@ threadedKopsCell(const Params &p, LaneBackend ceiling, unsigned workers)
 
     BatchSignerConfig cfg;
     cfg.workers = workers;
-    cfg.shards = 4;
     BatchSigner signer(p, kp.sk, cfg);
-    std::vector<double> kops;
     auto sign_batch = [&] {
         auto reqs = signRequests(batch);
         for (auto &f : signer.submitMany(reqs))
             f.get();
-        kops.push_back(signer.drain().sigsPerSec / 1000.0);
+        return signer.drain().sigsPerSec / 1000.0;
     };
     sign_batch(); // warm-up
-    kops.clear();
-    measureFor(0.5, 0, sign_batch);
-    while (kops.size() < 5)
-        sign_batch();
+    const Kops k = sampleKops(5, sign_batch);
     sha256LanesSetCeiling(LaneBackend::Avx512);
-    return fmtF(quantile(kops, 0.5), 3) + " (" +
-           fmtF(quantile(kops, 0.25), 3) + "-" +
-           fmtF(quantile(kops, 0.75), 3) + ")";
+    return k;
 }
 
-double
-measureKops(const Params &p, LaneBackend ceiling, unsigned iters)
+/**
+ * One single-thread cell: KOPS of one signature at a time, pinned to
+ * @p ceiling, over at least @p min_samples signatures and 0.5 s.
+ */
+Kops
+singleKops(const Params &p, LaneBackend ceiling, unsigned min_samples)
 {
     SphincsPlus scheme(p);
     Rng rng(1);
@@ -104,16 +132,15 @@ measureKops(const Params &p, LaneBackend ceiling, unsigned iters)
 
     sha256LanesSetCeiling(ceiling);
     scheme.sign(msg, kp.sk); // warm-up
-    auto t0 = std::chrono::steady_clock::now();
-    for (unsigned i = 0; i < iters; ++i)
+    const Kops k = sampleKops(min_samples, [&] {
+        const auto t0 = std::chrono::steady_clock::now();
         scheme.sign(msg, kp.sk);
-    auto t1 = std::chrono::steady_clock::now();
+        const auto t1 = std::chrono::steady_clock::now();
+        return 1000.0 /
+               std::chrono::duration<double, std::micro>(t1 - t0).count();
+    });
     sha256LanesSetCeiling(LaneBackend::Avx512);
-
-    const double us =
-        std::chrono::duration<double, std::micro>(t1 - t0).count() /
-        iters;
-    return 1000.0 / us; // KOPS
+    return k;
 }
 
 } // namespace
@@ -122,7 +149,7 @@ int
 main(int argc, char **argv)
 {
     Options o = Options::parse(argc, argv, {"--iters N"});
-    const unsigned iters = o.count("--iters", 3);
+    const unsigned iters = o.count("--iters", 5);
 
     struct Literature
     {
@@ -144,15 +171,28 @@ main(int argc, char **argv)
     const LaneBackend widest = laneDispatch().backend;
     const bool have_avx2 = widest >= LaneBackend::Avx2;
     const bool have_avx512 = widest == LaneBackend::Avx512;
-    double scalar[3], x8[3], x16[3];
+    Kops scalar[3], x8[3], x16[3];
     for (int i = 0; i < 3; ++i) {
-        scalar[i] = measureKops(*sets[i], LaneBackend::Scalar, iters);
-        x8[i] = have_avx2 ? measureKops(*sets[i], LaneBackend::Avx2, iters)
-                          : 0.0;
-        x16[i] = have_avx512
-                     ? measureKops(*sets[i], LaneBackend::Avx512, iters)
-                     : 0.0;
+        scalar[i] = singleKops(*sets[i], LaneBackend::Scalar, iters);
+        if (have_avx2)
+            x8[i] = singleKops(*sets[i], LaneBackend::Avx2, iters);
+        if (have_avx512)
+            x16[i] = singleKops(*sets[i], LaneBackend::Avx512, iters);
     }
+    const auto cells = [](const Kops *k) {
+        return std::vector<std::string>{k[0].cell(), k[1].cell(),
+                                        k[2].cell()};
+    };
+    const auto ratios = [](const Kops *a, const Kops *b) {
+        std::vector<std::string> r;
+        for (int i = 0; i < 3; ++i)
+            r.push_back(fmtF(a[i].median / b[i].median, 2));
+        return r;
+    };
+    const auto labeled = [](std::string label, std::vector<std::string> c) {
+        c.insert(c.begin(), std::move(label));
+        return c;
+    };
 
     TextTable t({"Implementation", "128f KOPS", "192f KOPS",
                  "256f KOPS"});
@@ -160,29 +200,20 @@ main(int argc, char **argv)
               fmtF(lit[1].single, 3), fmtF(lit[2].single, 3)});
     t.addRow({"AVX2 16 threads (paper)", fmtF(lit[0].threads16, 3),
               fmtF(lit[1].threads16, 3), fmtF(lit[2].threads16, 3)});
-    t.addRow({"this repo, scalar lanes (measured)", fmtF(scalar[0], 3),
-              fmtF(scalar[1], 3), fmtF(scalar[2], 3)});
+    t.addRow(labeled("this repo, scalar lanes (measured)", cells(scalar)));
     if (have_avx2) {
-        t.addRow({"this repo, x8 AVX2 (measured)", fmtF(x8[0], 3),
-                  fmtF(x8[1], 3), fmtF(x8[2], 3)});
-        t.addRow({"x8 AVX2 speedup vs scalar",
-                  fmtF(x8[0] / scalar[0], 2), fmtF(x8[1] / scalar[1], 2),
-                  fmtF(x8[2] / scalar[2], 2)});
+        t.addRow(labeled("this repo, x8 AVX2 (measured)", cells(x8)));
+        t.addRow(labeled("x8 AVX2 speedup vs scalar", ratios(x8, scalar)));
     } else {
         t.addRow({"this repo, x8 AVX2 (measured)", "n/a", "n/a",
                   "n/a"});
     }
     if (have_avx512) {
-        t.addRow({"this repo, x16 AVX-512 (measured)", fmtF(x16[0], 3),
-                  fmtF(x16[1], 3), fmtF(x16[2], 3)});
-        t.addRow({"x16 AVX-512 speedup vs scalar",
-                  fmtF(x16[0] / scalar[0], 2),
-                  fmtF(x16[1] / scalar[1], 2),
-                  fmtF(x16[2] / scalar[2], 2)});
-        if (have_avx2) {
-            t.addRow({"x16 speedup vs x8", fmtF(x16[0] / x8[0], 2),
-                      fmtF(x16[1] / x8[1], 2), fmtF(x16[2] / x8[2], 2)});
-        }
+        t.addRow(labeled("this repo, x16 AVX-512 (measured)", cells(x16)));
+        t.addRow(
+            labeled("x16 AVX-512 speedup vs scalar", ratios(x16, scalar)));
+        if (have_avx2)
+            t.addRow(labeled("x16 speedup vs x8", ratios(x16, x8)));
     } else {
         t.addRow({"this repo, x16 AVX-512 (measured)", "n/a", "n/a",
                   "n/a"});
@@ -191,7 +222,9 @@ main(int argc, char **argv)
          "The paper's point: even multi-threaded AVX2 trails the GPU "
          "by two orders of magnitude. The measured rows compare this "
          "repo's batched signer on scalar vs 8-lane AVX2 vs 16-lane "
-         "AVX-512 hash lanes.");
+         "AVX-512 hash lanes; each measured cell is the median "
+         "(quartiles) of >= --iters single signatures over >= 0.5 s, "
+         "each speedup a ratio of medians.");
 
     // --- Thread scaling through the cross-signature scheduler -----
     struct Backend
@@ -215,7 +248,7 @@ main(int argc, char **argv)
                 std::string(b.name) + ", " + std::to_string(threads) +
                 (threads == 1 ? " thread" : " threads")};
             for (const Params *set : sets)
-                row.push_back(threadedKopsCell(*set, b.ceiling, threads));
+                row.push_back(threadedKops(*set, b.ceiling, threads).cell());
             ts.addRow(row);
         }
     }

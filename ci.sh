@@ -10,8 +10,10 @@
 #   SANITIZE=thread CTEST_REGEX='batch|queue|service|fabric' ./ci.sh
 #                                        # TSan over the threaded
 #                                        # suites only
-#   BUILD_TYPE=Debug ./ci.sh             # CI matrix entry
-#   CXX=clang++ ./ci.sh                  # compiler matrix entry
+#   BUILD_TYPE=Debug ./ci.sh             # CI matrix entry, own dir
+#                                        # (build-debug)
+#   CXX=clang++ ./ci.sh                  # compiler matrix entry, own
+#                                        # dir (build-clang)
 #   WERROR=OFF ./ci.sh                   # drop -Werror (default ON)
 #   HEROSIGN_AVX512=OFF ./ci.sh          # AVX2-only build (no AVX-512
 #                                        # backend compiled), own dir
@@ -73,19 +75,29 @@ CTEST_REGEX=${CTEST_REGEX:-}
 FAULT_MATRIX=${FAULT_MATRIX:-}
 METRICS_SOAK=${METRICS_SOAK:-}
 
-# Sanitized and portable-only builds get their own trees so neither
-# cache clobbers (or masquerades as) the plain tier-1 build.
+# Every mode that changes the compiled objects gets its own tree, so
+# no run reconfigures (or masquerades as) the plain tier-1 Release
+# build in build/: sanitized and ISA-gated builds by mode, a clang
+# build with "-clang", a non-Release build with its type (e.g.
+# BUILD_TYPE=Debug -> build-debug, CXX=clang++ -> build-clang-debug).
 if [[ -n "$SANITIZE" ]]; then
     # One tree per sanitizer set: thread and address instrumentation
     # cannot share objects.
-    BUILD_DIR=${BUILD_DIR:-build-sanitize-${SANITIZE//,/-}}
+    tree=build-sanitize-${SANITIZE//,/-}
 elif [[ "$HEROSIGN_AVX2" != "ON" ]]; then
-    BUILD_DIR=${BUILD_DIR:-build-noavx2}
+    tree=build-noavx2
 elif [[ "$HEROSIGN_AVX512" != "ON" ]]; then
-    BUILD_DIR=${BUILD_DIR:-build-noavx512}
+    tree=build-noavx512
 else
-    BUILD_DIR=${BUILD_DIR:-build}
+    tree=build
 fi
+if [[ "${CXX:-}" == *clang* ]]; then
+    tree+=-clang
+fi
+if [[ "$BUILD_TYPE" != "Release" ]]; then
+    tree+=-${BUILD_TYPE,,}
+fi
+BUILD_DIR=${BUILD_DIR:-$tree}
 
 CMAKE_ARGS=(
     -DCMAKE_BUILD_TYPE="$BUILD_TYPE"

@@ -84,7 +84,6 @@ main(int argc, char **argv)
 
     ServiceConfig cfg;
     cfg.workers = workers == 0 ? 1 : workers;
-    cfg.shards = cfg.workers;
     cfg.contextCacheCapacity = tenants;
     SignService sign_svc(store, cfg);
     // The verifier shares the signer's warm contexts, stats registry

@@ -73,9 +73,7 @@ main(int argc, char **argv)
 
     ServiceConfig cfg;
     cfg.workers = 2;
-    cfg.shards = 2;
     cfg.verifyWorkers = 2;
-    cfg.verifyShards = 2;
     cfg.telemetry.sampleEvery = 16;
     SignService sign_svc(store, cfg);
     VerifyService verify_svc(store, cfg, sign_svc.contextCache(),

@@ -57,7 +57,7 @@ BatchSigner::BatchSigner(const Params &params,
       step_("BatchSigner", tel_, config.verifyAfterSign,
             resolveLaneGroup(config.laneGroup)),
       plane_("BatchSigner", telemetry::Plane::Sign, config.workers,
-             config.shards, resolveLaneGroup(config.laneGroup), tel_,
+             resolveLaneGroup(config.laneGroup), tel_,
              [this](unsigned w, std::span<SignJob *const> live) {
                  // One key and a window <= maxGroup: one lane group.
                  step_.run(plane_, w,
@@ -111,7 +111,6 @@ BatchSigner::drain()
         // Wall clock runs from the first submit of the epoch to the
         // last completion, not to this (possibly late) drain call.
         st.wallUs = ledger.wallUs;
-        st.crossShardPops = delta(ledger.steals, b.crossShardPops);
         st.failures = delta(ledger.failures, b.failures);
         st.laneGroups = delta(sc.laneGroups, b.laneGroups);
         st.crossSignJobs = delta(sc.crossSignJobs, b.crossSignJobs);

@@ -4,13 +4,13 @@
  *
  * Where SignEngine::signBatchTiming simulates a GPU batch timeline,
  * BatchSigner executes one. It is the single-key user of the shared
- * worker plane (batch::WorkerPlane): N worker threads (modeling
- * per-stream workers) pull jobs from a sharded MPMC queue (one shard
- * per engine stream) and sign against shared *immutable* key state —
- * one SecretKey (held via shared_ptr, zeroized on teardown when owned
- * here) and one warm hashing Context built once at construction, so
- * the hot path performs no per-sign Context construction and no
- * worker ever holds a private copy of secret material.
+ * worker plane (batch::WorkerPlane): N worker threads pull jobs from
+ * the plane's one FIFO queue and sign against shared *immutable* key
+ * state — one SecretKey (held via shared_ptr, zeroized on teardown
+ * when owned here) and one warm hashing Context built once at
+ * construction, so the hot path performs no per-sign Context
+ * construction and no worker ever holds a private copy of secret
+ * material.
  *
  * Each pass coalesces queued jobs up to the configured laneGroup and
  * hands them to the shared sign group step (batch::SignStep), which
@@ -43,7 +43,6 @@ namespace herosign::batch
 struct BatchSignerConfig
 {
     unsigned workers = 4;  ///< worker threads (clamped to >= 1)
-    unsigned shards = 4;   ///< queue shards
     /// Jobs one worker coalesces into a single signing group (one
     /// signGroup() call, hash lanes filled across signatures).
     /// 0 = auto (the dispatched hash-lane width); 1 disables
@@ -134,8 +133,6 @@ class BatchSigner
     void close() { plane_.close(); }
 
     unsigned workers() const { return plane_.workers(); }
-
-    unsigned shards() const { return plane_.shards(); }
 
     /** Effective cross-signature coalescing group (1 = disabled). */
     unsigned laneGroup() const { return plane_.window(); }

@@ -20,7 +20,9 @@ struct BatchStats
     uint64_t jobs = 0;         ///< jobs completed, incl. failures
     double wallUs = 0;         ///< first submit -> last completion
     double sigsPerSec = 0;     ///< successful signatures / wall clock
-    uint64_t crossShardPops = 0; ///< work-stealing dequeues
+    /// Always 0: the worker plane has one FIFO, so no dequeue
+    /// crosses a shard. Kept only because perfbench still reads it.
+    uint64_t crossShardPops = 0;
     uint64_t failures = 0;     ///< jobs that completed exceptionally
     /// Cross-signature lane groups run (coalesced pops of >= 2 jobs
     /// signed as one signGroup() call).

@@ -5,14 +5,14 @@
  * task graph, where idle time between the streams feeding shared
  * kernels is what throughput is lost to.
  *
- * A plane owns the sharded MPMC queue (one shard per stream), the
- * worker threads, and everything a queued task goes through between
- * submit and a settled future:
+ * A plane owns one FIFO queue, the worker threads, and everything a
+ * queued task goes through between submit and a settled future:
  *
  *  - admission bookkeeping: the submitted/completed ledger with the
  *    first-submit and last-completion times, and drain();
- *  - one blocking pop per pass followed by non-blocking pops up to
- *    the coalescing window (never waiting for more work);
+ *  - one popUpTo per pass: block for the first task, then take what
+ *    is already queued up to the coalescing window (never waiting
+ *    for more work);
  *  - the QueueStall / WorkerThrow fault seams;
  *  - the dequeue-time sweep: a closing plane fast-fails queued tasks
  *    with ServiceShutdown, an expired deadline fails its task with
@@ -83,7 +83,6 @@ struct Ledger
     uint64_t failures = 0; ///< tasks settled with an exception
     uint64_t expired = 0;  ///< dropped at dequeue, deadline passed
     uint64_t restarts = 0; ///< passes aborted by an escaped exception
-    uint64_t steals = 0;   ///< cross-shard (work-stealing) dequeues
 };
 
 template <typename Task>
@@ -103,19 +102,18 @@ class WorkerPlane
                                       telemetry::RequestOutcome &)>;
 
     /**
-     * Start @p workers threads (clamped to >= 1) over @p shards queue
-     * shards, each coalescing up to @p window tasks per pass; @p name
-     * prefixes every error the plane raises. A failed launch joins
-     * the threads already started before rethrowing: destroying a
-     * joinable thread would call std::terminate.
+     * Start @p workers threads (clamped to >= 1), each coalescing up
+     * to @p window tasks per pass; @p name prefixes every error the
+     * plane raises. A failed launch joins the threads already started
+     * before rethrowing: destroying a joinable thread would call
+     * std::terminate.
      */
     WorkerPlane(const char *name, telemetry::Plane plane,
-                unsigned workers, unsigned shards, unsigned window,
+                unsigned workers, unsigned window,
                 telemetry::Telemetry &tel, Step step,
                 Settle settle = nullptr)
         : name_(name), plane_(plane), tel_(tel), step_(std::move(step)),
-          settle_(std::move(settle)), queue_(shards),
-          window_(window == 0 ? 1 : window)
+          settle_(std::move(settle)), window_(window == 0 ? 1 : window)
     {
         const unsigned n = workers == 0 ? 1 : workers;
         workers_.reserve(n);
@@ -249,7 +247,7 @@ class WorkerPlane
      * the ledger lock, so inFlight is exact and every queued task is
      * necessarily submitted-and-not-completed (queueDepth <=
      * inFlight). No lock-order inversion: no thread takes the ledger
-     * lock while holding a queue shard mutex.
+     * lock while holding the queue lock.
      */
     Ledger
     ledger() const
@@ -300,7 +298,6 @@ class WorkerPlane
         return static_cast<unsigned>(workers_.size());
     }
 
-    unsigned shards() const { return queue_.shards(); }
     unsigned window() const { return window_; }
 
     /** Tasks worker @p i settled successfully. */
@@ -344,7 +341,6 @@ class WorkerPlane
         l.failures = failures_.load(std::memory_order_relaxed);
         l.expired = expired_.load(std::memory_order_relaxed);
         l.restarts = restarts_.load(std::memory_order_relaxed);
-        l.steals = queue_.steals();
         return l;
     }
 
@@ -401,23 +397,15 @@ class WorkerPlane
     void
     run(unsigned id)
     {
-        const unsigned home = id % queue_.shards();
         std::vector<Task> pass;
         std::vector<Task *> live;
         pass.reserve(window_);
         live.reserve(window_);
-        Task task;
-        while (queue_.pop(task, home)) {
-            // Coalesce whatever is already queued — never wait for
-            // more: an idle queue runs the single task at once, a
-            // backlogged one fills the window.
-            pass.clear();
-            tel_.stamp(task.trace, telemetry::Stage::Dequeue);
-            pass.push_back(std::move(task));
-            while (pass.size() < window_ && queue_.tryPop(task, home)) {
-                tel_.stamp(task.trace, telemetry::Stage::Dequeue);
-                pass.push_back(std::move(task));
-            }
+        // An idle queue runs a single task at once, a backlogged one
+        // fills the window.
+        while (queue_.popUpTo(pass, window_)) {
+            for (Task &t : pass)
+                tel_.stamp(t.trace, telemetry::Stage::Dequeue);
             try {
                 if (FaultInjector::fire(FaultPoint::QueueStall))
                     std::this_thread::sleep_for(
@@ -444,8 +432,8 @@ class WorkerPlane
     telemetry::Telemetry &tel_;
     const Step step_;
     const Settle settle_;
-    ShardedMpmcQueue<Task> queue_;
     const unsigned window_;
+    MpmcQueue<Task> queue_;
     std::vector<std::unique_ptr<Worker>> workers_;
 
     std::atomic<bool> closing_{false};

@@ -7,6 +7,11 @@
  * single coherent backpressure policy across both traffic
  * directions. Every refusal is a typed ServiceOverload that tells
  * the caller which limit tripped.
+ *
+ * ServiceConfig, the serving knobs, lives here too: worker counts,
+ * the sign coalescing window, the context-cache capacity, the
+ * pending caps and the guard. Each plane feeds its workers from one
+ * FIFO queue, so there is no queue-shard knob.
  */
 
 #ifndef HEROSIGN_SERVICE_ADMISSION_HH
@@ -47,14 +52,12 @@ class ServiceOverload : public std::runtime_error
 struct ServiceConfig
 {
     unsigned workers = 4;  ///< sign worker threads (clamped to >= 1)
-    unsigned shards = 4;   ///< sign queue shards (clamped to >= 1)
     /// Queued sign jobs one worker coalesces per pass; same-context
     /// (same-tenant) runs sign as one cross-signature lane group.
     /// 0 = auto (the dispatched hash-lane width); 1 disables
     /// coalescing.
     unsigned signCoalesce = 0;
     unsigned verifyWorkers = 2; ///< verify worker threads (>= 1)
-    unsigned verifyShards = 2;  ///< verify queue shards (>= 1)
     size_t contextCacheCapacity = 64; ///< warm per-key contexts kept
     /// Reject sign submits once this many sign jobs are pending
     /// (0 = unbounded).

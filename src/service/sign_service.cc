@@ -41,7 +41,7 @@ SignService::SignService(KeyStore &store, const ServiceConfig &config,
       step_("SignService", statsReg_->telemetry(),
             config.verifyAfterSign, LaneScheduler::preferredGroup()),
       plane_("SignService", telemetry::Plane::Sign, config.workers,
-             config.shards, resolveCoalesce(config.signCoalesce),
+             resolveCoalesce(config.signCoalesce),
              statsReg_->telemetry(),
              [this](unsigned w, std::span<Task *const> live) {
                  signPass(w, live);

@@ -36,7 +36,7 @@ VerifyService::VerifyService(
                      : std::make_shared<AdmissionController>(
                            AdmissionLimits::fromConfig(config))),
       plane_("VerifyService", telemetry::Plane::Verify,
-             config.verifyWorkers, config.verifyShards,
+             config.verifyWorkers,
              kCoalesceLaneFactor * sphincs::hashLaneWidth(),
              statsReg_->telemetry(),
              [this](unsigned w, std::span<Task *const> live) {

@@ -5,7 +5,6 @@ namespace herosign::telemetry
 
 Telemetry::Telemetry(const TelemetryConfig &config)
     : config_(config), enabled_(config.enabled),
-      sign_(config.histogramShards), verify_(config.histogramShards),
       recorder_(config.traceCapacity)
 {
 }
@@ -34,7 +33,7 @@ Telemetry::complete(const TraceClock &tc, const RequestOutcome &out)
             const uint64_t ns =
                 tc.metric(static_cast<StageMetric>(m));
             if (ns != 0)
-                sinks.stages[m]->record(ns);
+                sinks.stages[m].record(ns);
         }
         if (out.tenantEndToEnd != nullptr)
         {
@@ -70,7 +69,7 @@ Telemetry::snapshotStages(Plane p) const
     const std::string prefix = std::string(planeName(p)) + "_";
     for (unsigned m = 0; m < kStageMetricCount; ++m)
     {
-        auto snap = sinks.stages[m]->snapshot();
+        auto snap = sinks.stages[m].snapshot();
         if (!snap.empty())
             out.emplace(
                 prefix +

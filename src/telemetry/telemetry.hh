@@ -12,8 +12,8 @@
  *    deterministic 1-in-N sample of requests;
  *  - drop/sample counters for self-diagnosis.
  *
- * Disarmed cost: enabled() is one relaxed load (and a constexpr
- * false when compiled out), checked once per stamp/record call site.
+ * Disarmed cost: enabled() is one relaxed load, checked once per
+ * stamp/record call site.
  */
 
 #ifndef HEROSIGN_TELEMETRY_TELEMETRY_HH
@@ -25,7 +25,6 @@
 
 #include <atomic>
 #include <map>
-#include <optional>
 #include <string>
 
 namespace herosign::telemetry
@@ -40,8 +39,6 @@ struct TelemetryConfig
     unsigned sampleEvery = 64;
     /// TraceRecorder ring capacity (spans retained).
     size_t traceCapacity = 1024;
-    /// Histogram writer shards; 0 = auto from hardware concurrency.
-    unsigned histogramShards = 0;
 };
 
 /** Everything known about one finished request, for complete(). */
@@ -124,14 +121,7 @@ class Telemetry
   private:
     struct PlaneSinks
     {
-        explicit PlaneSinks(unsigned shards)
-            : groupSize(shards), laneFillPct(shards)
-        {
-            for (auto &h : stages)
-                h.emplace(shards);
-        }
-
-        std::optional<LatencyHistogram> stages[kStageMetricCount];
+        LatencyHistogram stages[kStageMetricCount];
         LatencyHistogram groupSize;
         LatencyHistogram laneFillPct;
         std::atomic<uint64_t> sampleTick{0};

@@ -40,7 +40,7 @@ planeName(Plane p)
 enum class Stage : uint8_t
 {
     Admit = 0,       ///< accepted by admission control, enqueued
-    Dequeue = 1,     ///< popped from the shard queue by a worker
+    Dequeue = 1,     ///< popped from the plane's queue by a worker
     GroupFormed = 2, ///< coalesce chunk / same-context group sealed
     CryptoStart = 3, ///< sign/verify kernel begins
     CryptoEnd = 4,   ///< sign/verify kernel returns

@@ -54,7 +54,6 @@ struct RobustnessTest : ::testing::Test
     {
         BatchSignerConfig cfg;
         cfg.workers = 1;
-        cfg.shards = 1;
         cfg.verifyAfterSign = guard;
         return cfg;
     }

@@ -38,7 +38,6 @@ TEST(BatchSigner, ByteMatchesScalarForEveryTableISet)
 
         BatchSignerConfig cfg;
         cfg.workers = 3;
-        cfg.shards = 2;
         BatchSigner signer(*pp, kp.sk, cfg);
 
         auto msgs = patternBatch(3);
@@ -71,7 +70,6 @@ TEST(BatchSigner, WorkerCountInvariance1v8)
     {
         BatchSignerConfig cfg;
         cfg.workers = 1;
-        cfg.shards = 1;
         BatchSigner signer(p, kp.sk, cfg);
         auto reqs = signReqs(msgs);
         for (auto &f : signer.submitMany(reqs))
@@ -80,7 +78,6 @@ TEST(BatchSigner, WorkerCountInvariance1v8)
     {
         BatchSignerConfig cfg;
         cfg.workers = 8;
-        cfg.shards = 4;
         BatchSigner signer(p, kp.sk, cfg);
         auto reqs = signReqs(msgs);
         for (auto &f : signer.submitMany(reqs))
@@ -97,7 +94,6 @@ TEST(BatchSigner, CallbacksRunForEveryJob)
 
     BatchSignerConfig cfg;
     cfg.workers = 4;
-    cfg.shards = 4;
     BatchSigner signer(p, kp.sk, cfg);
 
     constexpr unsigned count = 16;
@@ -193,7 +189,6 @@ TEST(BatchSigner, SubmitManyPreservesOptRandAndCallbacks)
 
     BatchSignerConfig cfg;
     cfg.workers = 4;
-    cfg.shards = 2;
     BatchSigner signer(p, kp.sk, cfg);
 
     constexpr unsigned count = 10;
@@ -244,7 +239,6 @@ TEST(BatchSigner, CoalescedGroupsByteMatchScalar)
     for (unsigned workers : {1u, 4u, 16u}) {
         BatchSignerConfig cfg;
         cfg.workers = workers;
-        cfg.shards = 2;
         BatchSigner signer(p, kp.sk, cfg);
         auto reqs = signReqs(msgs);
         auto futures = signer.submitMany(reqs);
@@ -277,8 +271,7 @@ TEST(BatchSigner, LaneGroupOneDisablesCoalescing)
 }
 
 // Out-of-range knobs are clamped at construction: at least one worker
-// and one shard, and a lane group no wider than the 16-lane lockstep
-// bound.
+// and a lane group no wider than the 16-lane lockstep bound.
 TEST(BatchSigner, ConstructorClampsOutOfRangeKnobs)
 {
     const Params p = miniParams();
@@ -287,11 +280,9 @@ TEST(BatchSigner, ConstructorClampsOutOfRangeKnobs)
 
     BatchSignerConfig cfg;
     cfg.workers = 0;
-    cfg.shards = 0;
     cfg.laneGroup = 33;
     BatchSigner signer(p, kp.sk, cfg);
     EXPECT_EQ(signer.workers(), 1u);
-    EXPECT_EQ(signer.shards(), 1u);
     EXPECT_EQ(signer.laneGroup(), 16u);
     EXPECT_EQ(signer.submit(signReq(patternMsg(16, 1))).get().size(),
               p.sigBytes());
@@ -344,7 +335,6 @@ TEST(BatchSigner, DestructorCompletesPendingFutures)
     {
         BatchSignerConfig cfg;
         cfg.workers = 2;
-        cfg.shards = 2;
         BatchSigner signer(p, kp.sk, cfg);
         auto reqs = signReqs(patternBatch(6, 16));
         futures = signer.submitMany(reqs);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Stress and semantics tests for the sharded MPMC queue and the
+ * Stress and semantics tests for the worker plane's MPMC queue and the
  * BatchSigner under many small submissions from multiple producer
  * threads. These are the tests the ASan/UBSan CI job leans on to
  * guard the threaded queue against data races and lifetime bugs.
@@ -40,17 +40,18 @@ TEST(MpmcQueue, ManyProducersManyConsumers)
     constexpr unsigned consumers = 4;
     constexpr uint64_t per_producer = 5000;
 
-    ShardedMpmcQueue<uint64_t> q(4);
+    MpmcQueue<uint64_t> q;
     std::atomic<uint64_t> popped{0};
     std::atomic<uint64_t> sum{0};
 
     std::vector<std::thread> cs;
     for (unsigned c = 0; c < consumers; ++c) {
-        cs.emplace_back([&, c] {
-            uint64_t v;
-            while (q.pop(v, c)) {
-                sum.fetch_add(v, std::memory_order_relaxed);
-                popped.fetch_add(1, std::memory_order_relaxed);
+        cs.emplace_back([&] {
+            std::vector<uint64_t> got;
+            while (q.popUpTo(got, 8)) {
+                for (uint64_t v : got)
+                    sum.fetch_add(v, std::memory_order_relaxed);
+                popped.fetch_add(got.size(), std::memory_order_relaxed);
             }
         });
     }
@@ -75,28 +76,34 @@ TEST(MpmcQueue, ManyProducersManyConsumers)
     EXPECT_EQ(q.sizeApprox(), 0u);
 }
 
-TEST(MpmcQueue, SingleConsumerStealsFromSiblingShards)
+TEST(MpmcQueue, PopUpToTakesAtMostMaxAndNeverWaitsForMore)
 {
-    ShardedMpmcQueue<int> q(4);
-    for (int i = 0; i < 16; ++i)
-        q.push(i); // round-robin: every shard gets items
+    MpmcQueue<int> q;
+    for (int i = 0; i < 5; ++i)
+        q.push(i);
 
-    int v;
-    int count = 0;
-    while (q.tryPop(v, 0))
-        ++count;
-    EXPECT_EQ(count, 16);
-    // Home shard 0 held only a quarter; the rest were steals.
-    EXPECT_GE(q.steals(), 8u);
+    std::vector<int> got;
+    ASSERT_TRUE(q.popUpTo(got, 3));
+    EXPECT_EQ(got, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(q.sizeApprox(), 2u);
+
+    // Two queued, eight allowed: the two come back at once.
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(q.popUpTo(got, 8));
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(got, (std::vector<int>{3, 4}));
+    EXPECT_LT(waited, std::chrono::milliseconds(50));
+    EXPECT_EQ(q.sizeApprox(), 0u);
 }
 
 TEST(MpmcQueue, CloseWakesBlockedConsumer)
 {
-    ShardedMpmcQueue<int> q(2);
+    MpmcQueue<int> q;
     std::atomic<bool> returned{false};
     std::thread consumer([&] {
-        int v;
-        EXPECT_FALSE(q.pop(v, 0));
+        std::vector<int> got;
+        EXPECT_FALSE(q.popUpTo(got, 4));
+        EXPECT_TRUE(got.empty());
         returned.store(true);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -106,83 +113,65 @@ TEST(MpmcQueue, CloseWakesBlockedConsumer)
     EXPECT_TRUE(returned.load());
 }
 
-TEST(MpmcQueue, AcceptedPushWakesParkedConsumerPromptly)
+TEST(MpmcQueue, PushWakesParkedConsumerPromptly)
 {
-    // Regression test for a lost-wakeup window: a consumer that had
-    // finished its empty scan but not yet registered as a waiter was
-    // invisible to push()'s sibling-waiter scan, so an accepted item
-    // could sit for a full 5 ms max backoff before the timed wait
-    // expired. pop() now registers the waiter BEFORE a final
-    // occupancy re-check; the parkProbe seam injects a push into
-    // exactly that historical window and the test asserts the item
-    // is consumed without eating a backoff timeout.
-    ShardedMpmcQueue<int> q(2);
+    // A consumer idles long enough (>= 30 ms) for its timed wait to
+    // reach the 5 ms cap; a push must then reach it through the
+    // notification, not the next timeout. A lost wakeup would cost
+    // the rest of the current 5 ms wait, so the idle times step
+    // through one whole wait period (30 ms + i x 5/8 ms): about half
+    // of the eight trials would then land late, whatever the phase.
+    // One late trial is allowed for a scheduler outlier.
+    constexpr int trials = 8;
+    MpmcQueue<int> q;
+    std::atomic<int> received{-1};
+    std::chrono::steady_clock::time_point got_at[trials];
+    std::thread consumer([&] {
+        std::vector<int> got;
+        while (q.popUpTo(got, 1)) {
+            got_at[got[0]] = std::chrono::steady_clock::now();
+            received.store(got[0], std::memory_order_release);
+        }
+    });
 
-    // Consume round-robin slot 0 so the probe's push lands on shard 1
-    // (the parked consumer's sibling). The probe runs with the home
-    // shard's mutex held, so a push routed to the home shard would
-    // self-deadlock in the test harness itself.
-    q.push(0);
-    int v = -1;
-    ASSERT_TRUE(q.tryPop(v, 0));
-
-    std::atomic<int> parks{0};
-    std::thread producer;
-    std::chrono::steady_clock::time_point pushed_at;
-    q.parkProbe = [&] {
-        // Let the backoff saturate to its 5 ms cap first, so a
-        // relapse into the old behaviour costs a full max backoff
-        // rather than the initial 200 us and the latency assertion
-        // below is unambiguous against scheduler jitter.
-        if (parks.fetch_add(1) + 1 != 8)
-            return;
-        producer = std::thread([&] { q.push(42); });
-        while (q.sizeApprox() == 0)
+    int late = 0;
+    for (int i = 0; i < trials; ++i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(
+            30000 + i * 5000 / trials));
+        const auto pushed_at = std::chrono::steady_clock::now();
+        q.push(i);
+        while (received.load(std::memory_order_acquire) != i)
             std::this_thread::yield();
-        pushed_at = std::chrono::steady_clock::now();
-    };
-
-    int got = -1;
-    EXPECT_TRUE(q.pop(got, 0));
-    const auto latency = std::chrono::steady_clock::now() - pushed_at;
-    producer.join();
-    EXPECT_EQ(got, 42);
-    EXPECT_GE(parks.load(), 8);
-    // The fixed path skips the wait via the occupancy re-check; the
-    // lost-wakeup bug slept the full 5 ms cap.
-    const double latency_ms =
-        std::chrono::duration<double, std::milli>(latency).count();
-    EXPECT_LT(latency_ms, 2.5);
+        const double latency_ms =
+            std::chrono::duration<double, std::milli>(got_at[i] -
+                                                      pushed_at)
+                .count();
+        if (latency_ms >= 2.5)
+            ++late;
+    }
+    q.close();
+    consumer.join();
+    EXPECT_LE(late, 1);
 }
 
 TEST(MpmcQueue, ItemsPushedBeforeCloseStillDrain)
 {
-    ShardedMpmcQueue<int> q(3);
+    MpmcQueue<int> q;
     for (int i = 0; i < 9; ++i)
         q.push(i);
     q.close();
-    int v;
+    std::vector<int> got;
     int count = 0;
-    while (q.pop(v, 1))
-        ++count;
+    while (q.popUpTo(got, 2))
+        count += static_cast<int>(got.size());
     EXPECT_EQ(count, 9);
 }
 
 TEST(MpmcQueue, PushAfterCloseThrows)
 {
-    ShardedMpmcQueue<int> q(2);
+    MpmcQueue<int> q;
     q.close();
     EXPECT_THROW(q.push(1), std::runtime_error);
-}
-
-TEST(MpmcQueue, ZeroShardRequestClampsToOne)
-{
-    ShardedMpmcQueue<int> q(0);
-    EXPECT_EQ(q.shards(), 1u);
-    q.push(7);
-    int v = 0;
-    EXPECT_TRUE(q.tryPop(v, 5)); // any home index is valid
-    EXPECT_EQ(v, 7);
 }
 
 TEST(BatchSignerStress, ManySmallSubmitsFromMultipleProducers)
@@ -195,7 +184,6 @@ TEST(BatchSignerStress, ManySmallSubmitsFromMultipleProducers)
 
     BatchSignerConfig cfg;
     cfg.workers = 4;
-    cfg.shards = 4;
     BatchSigner signer(p, kp.sk, cfg);
 
     constexpr unsigned producers = 4;
@@ -258,7 +246,6 @@ TEST(BatchSignerStress, RepeatedDrainCyclesUnderLoad)
 
     BatchSignerConfig cfg;
     cfg.workers = 3;
-    cfg.shards = 2;
     BatchSigner signer(p, kp.sk, cfg);
 
     uint64_t grand_total = 0;

@@ -111,9 +111,7 @@ TEST(ChaosFabric, MixedTrafficUnderFaultsKeepsInvariants)
     {
         ServiceConfig cfg;
         cfg.workers = 2;
-        cfg.shards = 2;
         cfg.verifyWorkers = 2;
-        cfg.verifyShards = 2;
         cfg.verifyAfterSign = true;
         SignService sign_svc(store, cfg);
         VerifyService verify_svc(

@@ -62,9 +62,7 @@ struct ServiceRobustnessTest : ::testing::Test
     {
         ServiceConfig cfg;
         cfg.workers = 1;
-        cfg.shards = 1;
         cfg.verifyWorkers = 1;
-        cfg.verifyShards = 1;
         cfg.verifyAfterSign = guard;
         return cfg;
     }

@@ -208,9 +208,7 @@ struct ShutdownRaceTest : ::testing::TestWithParam<Ending>
     {
         ServiceConfig cfg;
         cfg.workers = 2;
-        cfg.shards = 2;
         cfg.verifyWorkers = 2;
-        cfg.verifyShards = 2;
         return cfg;
     }
 
@@ -228,7 +226,6 @@ TEST_P(ShutdownRaceTest, BatchSigner)
 {
     BatchSignerConfig cfg;
     cfg.workers = 2;
-    cfg.shards = 2;
     auto signer = std::make_unique<BatchSigner>(p, kp.sk, cfg);
     Tally tally;
     race(

@@ -60,7 +60,6 @@ TEST(SignService, RoutesTenantsByteIdentically)
 
     ServiceConfig cfg;
     cfg.workers = 3;
-    cfg.shards = 2;
     SignService svc(t.store, cfg);
 
     // Interleave tenants so routing actually multiplexes.
@@ -108,7 +107,6 @@ TEST(SignService, RequestStructsCarryOptRandAndCallbacks)
 
     ServiceConfig cfg;
     cfg.workers = 2;
-    cfg.shards = 2;
     cfg.signCoalesce = 0; // auto: coalescing active
     SignService svc(t.store, cfg);
 
@@ -234,9 +232,9 @@ TEST(SignService, HotPathConstructsNoContexts)
     EXPECT_EQ(st.cache.hits, 14u);
 }
 
-// Zero workers and zero shards are clamped to one of each at
-// construction, and the clamped service still signs.
-TEST(SignService, ConstructorClampsZeroWorkersAndShards)
+// Zero workers are clamped to one at construction, and the clamped
+// service still signs.
+TEST(SignService, ConstructorClampsZeroWorkers)
 {
     const auto p = miniParams();
     Tenancy t;
@@ -244,7 +242,6 @@ TEST(SignService, ConstructorClampsZeroWorkersAndShards)
 
     ServiceConfig cfg;
     cfg.workers = 0;
-    cfg.shards = 0;
     SignService svc(t.store, cfg);
     EXPECT_EQ(svc.workers(), 1u);
     EXPECT_EQ(svc.submit("tenant-0", signReq(patternMsg(16))).get().size(),

@@ -74,7 +74,6 @@ TEST(StatsConsistency, SignGaugesHoldExactIdentitiesUnderLoad)
     Fixture fx;
     ServiceConfig cfg;
     cfg.workers = 2;
-    cfg.shards = 2;
     SignService svc(fx.store, cfg);
 
     std::atomic<bool> stop{false};
@@ -120,7 +119,6 @@ TEST(StatsConsistency, VerifyGaugesHoldExactIdentitiesUnderLoad)
     Fixture fx;
     ServiceConfig cfg;
     cfg.verifyWorkers = 2;
-    cfg.verifyShards = 2;
     VerifyService svc(fx.store, cfg);
 
     std::atomic<bool> stop{false};
@@ -234,9 +232,7 @@ TEST(StatsConsistency, SharedRegistryFabricMergeMatchesPlaneSums)
     Fixture fx;
     ServiceConfig cfg;
     cfg.workers = 2;
-    cfg.shards = 2;
     cfg.verifyWorkers = 2;
-    cfg.verifyShards = 2;
     SignService sign_svc(fx.store, cfg);
     VerifyService verify_svc(fx.store, cfg, sign_svc.contextCache(),
                              sign_svc.statsRegistry(),

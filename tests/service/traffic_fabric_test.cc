@@ -99,9 +99,7 @@ TEST(TrafficFabric, MixedStressKeepsLedgerIdentities)
 
     ServiceConfig cfg;
     cfg.workers = 2;
-    cfg.shards = 2;
     cfg.verifyWorkers = 2;
-    cfg.verifyShards = 2;
     SignService sign_svc(fx.store, cfg);
     VerifyService verify_svc(fx.store, cfg, sign_svc.contextCache(),
                              sign_svc.statsRegistry(),

@@ -64,9 +64,7 @@ runFabric(Fabric &fx)
 {
     ServiceConfig cfg;
     cfg.workers = 2;
-    cfg.shards = 2;
     cfg.verifyWorkers = 2;
-    cfg.verifyShards = 2;
     cfg.telemetry.sampleEvery = 1;
     SignService sign_svc(fx.store, cfg);
     VerifyService verify_svc(fx.store, cfg, sign_svc.contextCache(),

@@ -167,7 +167,6 @@ TEST(Telemetry, SamplesDeterministicallyOneInN)
     TelemetryConfig cfg;
     cfg.sampleEvery = 4;
     cfg.traceCapacity = 256;
-    cfg.histogramShards = 1;
     Telemetry tel(cfg);
 
     const std::string tenant = "t0";
@@ -203,7 +202,6 @@ TEST(Telemetry, SampleEveryZeroDisablesSpans)
 {
     TelemetryConfig cfg;
     cfg.sampleEvery = 0;
-    cfg.histogramShards = 1;
     Telemetry tel(cfg);
     for (uint64_t i = 0; i < 10; ++i) {
         RequestOutcome out;
@@ -220,7 +218,6 @@ TEST(Telemetry, FailedRequestsSkipHistogramsButKeepSpans)
 {
     TelemetryConfig cfg;
     cfg.sampleEvery = 1;
-    cfg.histogramShards = 1;
     Telemetry tel(cfg);
     RequestOutcome out;
     out.flags = kSpanFailed | kSpanExpired;
@@ -238,7 +235,6 @@ TEST(Telemetry, RuntimeDisableStopsStampsAndCompletions)
 {
     TelemetryConfig cfg;
     cfg.sampleEvery = 1;
-    cfg.histogramShards = 1;
     Telemetry tel(cfg);
     tel.setEnabled(false);
     EXPECT_FALSE(tel.enabled());
@@ -261,7 +257,6 @@ TEST(Telemetry, RuntimeDisableStopsStampsAndCompletions)
 TEST(Telemetry, GroupShapeHistogramsTrackFillRatio)
 {
     TelemetryConfig cfg;
-    cfg.histogramShards = 1;
     Telemetry tel(cfg);
     tel.recordGroup(Plane::Sign, 8, 8);  // 100% fill
     tel.recordGroup(Plane::Sign, 4, 8);  // 50% fill
